@@ -1,7 +1,7 @@
 """Command-line entry point: schedule inspection, sampling runs, and comparisons.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 for numerical
-failures during sampling.
+Exit codes: 0 on success, 1 for configuration problems (flag-parsing errors
+included), 2 for numerical failures during sampling.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import CLIP_ORDERS, ConfigError, ExperimentConfig, load_config_mapping
-from .guidance import (
-    GUIDANCE_MODES,
-    GuidanceConfig,
-    compounding_scale,
-    guide_interpolate,
-    guide_negative,
-)
+from .guidance import GUIDANCE_MODES, compounding_scale, guide_interpolate, guide_negative
 from .importance import ImportanceCurve, compute_importance
 from .metrics import (
     RunReport,
@@ -48,6 +42,14 @@ from .timesteps import TimestepSchedule, adaptive_schedule, equidistant_schedule
 __all__ = ["main", "run_experiment"]
 
 TRAJECTORY_CHAIN_LIMIT = 8
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports flag-parsing errors as configuration errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -87,7 +89,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fewstep",
         description="Few-step diffusion sampling experiments on analytic mixture oracles.",
     )
@@ -166,6 +168,15 @@ def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: Noise
     return eps
 
 
+def _schedule_and_curve(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve]:
+    """Build the noise schedule and its importance curve, and check the step count against it."""
+    schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
+    curve = compute_importance(schedule, cfg.importance_epsilon)
+    if not 2 <= cfg.steps <= schedule.num_steps:
+        raise ConfigError(f"steps {cfg.steps} outside [2, {schedule.num_steps}]")
+    return schedule, curve
+
+
 def _timestep_schedules(
     cfg: ExperimentConfig, schedule: NoiseSchedule, curve: ImportanceCurve
 ) -> dict[str, TimestepSchedule]:
@@ -185,21 +196,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     """
     start = time.perf_counter()
     model = _resolve_mixture(cfg)
-    schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
-    curve = compute_importance(schedule, cfg.importance_epsilon)
-    if not 2 <= cfg.steps <= schedule.num_steps:
-        raise ConfigError(f"steps {cfg.steps} outside [2, {schedule.num_steps}]")
+    schedule, curve = _schedule_and_curve(cfg)
     timesteps = adaptive_schedule(schedule, curve, cfg.steps, cfg.theta)
     eps_model = _build_eps_model(cfg, model, schedule)
-
-    guidance = GuidanceConfig(
-        omega=cfg.cfg_scale, mode=cfg.cfg_mode, distill_omega=cfg.distill_omega
-    )
     sampler_config = SamplerConfig(
         variant=cfg.variant,
         gamma=cfg.gamma,
-        guidance=guidance,
-        postprocess_enabled=cfg.clip_method != "none",
         clip=batch_clip(
             cfg.clip_method,
             alpha=cfg.clip_alpha,
@@ -268,10 +270,7 @@ def _schedules_csv(named: dict[str, TimestepSchedule], curve: ImportanceCurve) -
 
 
 def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
-    schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
-    curve = compute_importance(schedule, cfg.importance_epsilon)
-    if not 2 <= cfg.steps <= schedule.num_steps:
-        raise ConfigError(f"steps {cfg.steps} outside [2, {schedule.num_steps}]")
+    schedule, curve = _schedule_and_curve(cfg)
     named = _timestep_schedules(cfg, schedule, curve)
     curve_text = _curve_csv(schedule, curve)
     table_text = _schedules_csv(named, curve)
@@ -356,9 +355,8 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
 
 def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config_files = args.config or []
         if args.command == "compare":
             labeled = []

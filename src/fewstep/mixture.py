@@ -191,8 +191,10 @@ def mixture_from_config(source: Union[str, Path, dict]) -> MixtureModel:
 
     Expected shape: ``{"components": [{"weight": w, "mean": [...], "variance": v}, ...]}``.
     """
-    if not isinstance(source, dict):
+    if isinstance(source, (str, Path)):
         source = json.loads(Path(source).read_text())
+    if not isinstance(source, dict):
+        raise ValueError(f"mixture config must be a JSON object, got {type(source).__name__}")
     components = source.get("components")
     if not components:
         raise ValueError("mixture config must list at least one component")

@@ -1,9 +1,9 @@
 """Exposure mitigation on predicted clean states.
 
-Operations act on channel tensors, 2-D float arrays shaped
-``(channels, elements_per_channel)``. Sampler states are flat vectors and are
-treated as single-channel tensors, so per-channel and global means coincide
-there; the 3-channel layout matters for color-style balancing tests.
+One set of kernels over arrays shaped ``(..., channels, elements)`` serves both
+layouts: the public functions take one ``(channels, elements_per_channel)``
+tensor, and :func:`batch_clip` treats each row of a ``(batch, dim)`` sampler
+state as a one-channel tensor, where per-channel and global means coincide.
 """
 
 from __future__ import annotations
@@ -33,15 +33,38 @@ def _validate(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_quantile(q: float, ceiling: float) -> None:
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"quantile q must lie in (0, 1], got {q}")
+    if ceiling < 1.0:
+        raise ValueError(f"ceiling must be at least 1, got {ceiling}")
+
+
+def _balance(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    out = x - alpha * x.mean(axis=-1, keepdims=True)
+    return out - beta * out.mean(axis=(-2, -1), keepdims=True)
+
+
+def _exposure(x: np.ndarray, alpha: float, beta: float, balance_first: bool) -> np.ndarray:
+    if balance_first:
+        return np.tanh(_balance(x, alpha, beta))
+    return _balance(np.tanh(x), alpha, beta)
+
+
+def _quantile(x: np.ndarray, q: float, ceiling: float) -> np.ndarray:
+    # Flattened so the quantile runs on the last axis; a tuple axis is slower.
+    flat = np.abs(x).reshape(*x.shape[:-2], -1)
+    s = np.clip(np.quantile(flat, q, axis=-1, keepdims=True), 1.0, ceiling)[..., None]
+    return np.clip(x, -s, s) / s
+
+
 def color_balance(x: np.ndarray, alpha: float = 0.5, beta: float = 0.5) -> np.ndarray:
     """Shift each channel toward zero mean, then the whole tensor.
 
     Per channel ``c``: ``x_c -= alpha * mean(x_c)``; afterwards the already
     channel-balanced tensor is shifted by ``beta`` times its global mean.
     """
-    x = _validate(x)
-    out = x - alpha * x.mean(axis=1, keepdims=True)
-    return out - beta * out.mean()
+    return _balance(_validate(x), alpha, beta)
 
 
 def smooth_clip(x: np.ndarray) -> np.ndarray:
@@ -58,9 +81,7 @@ def exposure_correct(
     is the default; ``balance_first=False`` applies the squashing before the
     balancing for ablations, at the cost of re-introducing a nonzero mean.
     """
-    if balance_first:
-        return smooth_clip(color_balance(x, alpha, beta))
-    return color_balance(smooth_clip(x), alpha, beta)
+    return _exposure(_validate(x), alpha, beta, balance_first)
 
 
 def quantile_clip(x: np.ndarray, q: float = 0.995, ceiling: float = 1.0) -> np.ndarray:
@@ -69,13 +90,8 @@ def quantile_clip(x: np.ndarray, q: float = 0.995, ceiling: float = 1.0) -> np.n
     The threshold ``s = clamp(quantile_q(|x|), 1, ceiling)`` is computed over
     the whole tensor; output is ``clip(x, -s, s) / s``, always within [-1, 1].
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile q must lie in (0, 1], got {q}")
-    if ceiling < 1.0:
-        raise ValueError(f"ceiling must be at least 1, got {ceiling}")
-    x = _validate(x)
-    s = float(np.clip(np.quantile(np.abs(x), q), 1.0, ceiling))
-    return np.clip(x, -s, s) / s
+    _check_quantile(q, ceiling)
+    return _quantile(_validate(x), q, ceiling)
 
 
 def batch_clip(
@@ -100,23 +116,13 @@ def batch_clip(
     if method == "tanh-balance":
 
         def _tanh_balance(x: np.ndarray) -> np.ndarray:
-            if balance_first:
-                y = x - alpha * x.mean(axis=1, keepdims=True)
-                y = y - beta * y.mean(axis=1, keepdims=True)
-                return np.tanh(y)
-            y = np.tanh(x)
-            y = y - alpha * y.mean(axis=1, keepdims=True)
-            return y - beta * y.mean(axis=1, keepdims=True)
+            return _exposure(x[:, None, :], alpha, beta, balance_first)[:, 0, :]
 
         return _tanh_balance
 
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile q must lie in (0, 1], got {q}")
-    if ceiling < 1.0:
-        raise ValueError(f"ceiling must be at least 1, got {ceiling}")
+    _check_quantile(q, ceiling)
 
-    def _quantile(x: np.ndarray) -> np.ndarray:
-        s = np.clip(np.quantile(np.abs(x), q, axis=1, keepdims=True), 1.0, ceiling)
-        return np.clip(x, -s, s) / s
+    def _quantile_rows(x: np.ndarray) -> np.ndarray:
+        return _quantile(x[:, None, :], q, ceiling)[:, 0, :]
 
-    return _quantile
+    return _quantile_rows

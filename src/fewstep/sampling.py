@@ -11,12 +11,11 @@ re-noising, so the terminal output is a clean-state estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .guidance import GuidanceConfig
 from .importance import schedule_fingerprint
 from .schedules import NoiseSchedule
 from .seeding import STREAM_RENOISE, stream
@@ -46,14 +45,13 @@ class SamplerConfig:
     """Sampler variant, randomness proportion, and clean-state postprocessing.
 
     ``clip`` is a vectorized map applied to every intermediate clean-state
-    estimate when ``postprocess_enabled`` (or only to the terminal one with
-    ``clip_timing="final-only"``); build one with :func:`fewstep.batch_clip`.
+    estimate (or only to the terminal one with ``clip_timing="final-only"``);
+    ``None`` disables it. :func:`fewstep.batch_clip` builds one from the same
+    kernels as the channel-tensor functions of :mod:`fewstep.postprocess`.
     """
 
     variant: str = "plain"
     gamma: float = 0.2
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    postprocess_enabled: bool = False
     clip: Optional[Callable[[np.ndarray], np.ndarray]] = None
     clip_timing: str = "every-step"
     rng_seed: int = 0
@@ -65,8 +63,6 @@ class SamplerConfig:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.clip_timing not in CLIP_TIMING:
             raise ValueError(f"clip_timing must be one of {CLIP_TIMING}, got {self.clip_timing!r}")
-        if self.postprocess_enabled and self.clip is None:
-            raise ValueError("postprocess_enabled requires a clip callable")
 
 
 @dataclass
@@ -82,18 +78,6 @@ class SampleTrajectory:
     final: np.ndarray
 
 
-def _predict_clean(
-    eps_model, schedule: NoiseSchedule, x: np.ndarray, t_from: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    eps = np.asarray(eps_model(x, t_from), dtype=np.float64)
-    if eps.shape != x.shape:
-        raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
-    if not np.all(np.isfinite(eps)):
-        raise NumericalError(f"non-finite noise prediction at timestep {t_from}")
-    ab = schedule.alpha_bar_at(t_from)
-    return (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab), eps
-
-
 def _denoise(
     eps_model,
     schedule: NoiseSchedule,
@@ -102,7 +86,13 @@ def _denoise(
     t_to: Optional[int],
     clip: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    x0_hat, eps = _predict_clean(eps_model, schedule, x, t_from)
+    eps = np.asarray(eps_model(x, t_from), dtype=np.float64)
+    if eps.shape != x.shape:
+        raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
+    if not np.all(np.isfinite(eps)):
+        raise NumericalError(f"non-finite noise prediction at timestep {t_from}")
+    ab = schedule.alpha_bar_at(t_from)
+    x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
     if clip is not None:
         x0_hat = clip(x0_hat)
     if t_to is None:
@@ -212,8 +202,7 @@ def run_sampler(
     for t in (int(steps[0]), int(steps[-1])):
         schedule._check_t(t)
 
-    step_clip = config.clip if config.postprocess_enabled and config.clip_timing == "every-step" else None
-    final_clip = config.clip if config.postprocess_enabled else None
+    step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
 
     def record(t: int, state: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -228,7 +217,7 @@ def run_sampler(
             states.append(record(mid, x))
             x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
         states.append(record(t_anchor, x))
-    final = _denoise(eps_model, schedule, x, int(steps[-1]), None, final_clip)
+    final = _denoise(eps_model, schedule, x, int(steps[-1]), None, config.clip)
     if not np.all(np.isfinite(final)):
         raise NumericalError("terminal state contains non-finite entries")
     return SampleTrajectory(states=states, final=final[0] if squeeze else final)

@@ -225,10 +225,7 @@ def test_criterion_7_exposure_mitigation_ordering(linear_schedule):
             initial = stream(seed, STREAM_INITIAL_NOISE).standard_normal((512, dim))
             fractions = {}
             for label, clip in clips.items():
-                config = SamplerConfig(
-                    variant="gamma", gamma=0.2, rng_seed=seed,
-                    postprocess_enabled=clip is not None, clip=clip,
-                )
+                config = SamplerConfig(variant="gamma", gamma=0.2, rng_seed=seed, clip=clip)
                 out = run_sampler(config, linear_schedule, timesteps, guided, initial)
                 fractions[label] = saturation_fraction(out.final)
                 if label == "none":

@@ -184,6 +184,32 @@ class TestSampleCommand:
         assert code == 1
         assert "neither a preset" in capsys.readouterr().err
 
+    def test_non_object_mixture_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "mixture.json"
+        path.write_text("[1, 2]")
+        code, _ = run_cli("sample", "--mixture", str(path))
+        assert code == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--steps", "8.5"),
+        ("sample", "--variant", "euler"),
+        ("compare", "--seed", "1.5"),
+        ("sample", "--no-such-flag"),
+        (),
+    ])
+    def test_flag_parsing_errors_exit_one(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage: fewstep" in err and "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        assert "--clip-method" in capsys.readouterr().out
+
     def test_out_of_range_condition_exits_one(self):
         code, _ = run_cli("sample", "--cfg-mode", "interpolate", "--condition", "5")
         assert code == 1

@@ -266,3 +266,5 @@ class TestConfig:
             mixture_from_config({"components": []})
         with pytest.raises(ValueError, match="malformed"):
             mixture_from_config({"components": [{"weight": 1.0}]})
+        with pytest.raises(ValueError, match="JSON object"):
+            mixture_from_config([1, 2])

@@ -163,7 +163,7 @@ class TestBatchClip:
     @pytest.mark.parametrize("method", ["tanh-balance", "quantile"])
     def test_rows_match_single_channel_tensors(self, method):
         # A batch row must transform exactly like the same data presented as
-        # a one-channel tensor to the scalar ops.
+        # a one-channel tensor to the scalar ops: both run the same kernels.
         clip = batch_clip(method, alpha=0.6, beta=0.3, q=0.9, ceiling=5.0)
         batch = np.random.default_rng(10).normal(scale=2.0, size=(6, 40))
         out = clip(batch)
@@ -173,7 +173,7 @@ class TestBatchClip:
                 expected = exposure_correct(tensor, alpha=0.6, beta=0.3)
             else:
                 expected = quantile_clip(tensor, q=0.9, ceiling=5.0)
-            np.testing.assert_allclose(out[i], expected[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(out[i], expected[0])
 
     def test_rows_are_independent(self):
         clip = batch_clip("quantile", q=1.0, ceiling=10.0)
@@ -189,9 +189,7 @@ class TestBatchClip:
         after = batch_clip("tanh-balance", balance_first=False)(x)
         assert not np.array_equal(first, after)
         row = x[1][None, :]
-        np.testing.assert_allclose(
-            after[1], exposure_correct(row, balance_first=False)[0], rtol=1e-12
-        )
+        np.testing.assert_array_equal(after[1], exposure_correct(row, balance_first=False)[0])
 
     def test_quantile_parameter_validation(self):
         with pytest.raises(ValueError, match="quantile"):

@@ -306,8 +306,6 @@ class TestGuards:
             SamplerConfig(variant="euler")
         with pytest.raises(ValueError, match="gamma"):
             SamplerConfig(gamma=1.0)
-        with pytest.raises(ValueError, match="clip"):
-            SamplerConfig(postprocess_enabled=True)
         with pytest.raises(ValueError, match="clip_timing"):
             SamplerConfig(clip_timing="sometimes")
 
@@ -322,13 +320,12 @@ class TestClipTiming:
         clip = lambda x: np.clip(x, -0.1, 0.1)
         raw = run_sampler(SamplerConfig(variant="plain"), linear_schedule, ts, eps_model, init)
         clipped = run_sampler(
-            SamplerConfig(
-                variant="plain", postprocess_enabled=True, clip=clip,
-                clip_timing="final-only",
-            ),
+            SamplerConfig(variant="plain", clip=clip, clip_timing="final-only"),
             linear_schedule, ts, eps_model, init,
         )
         np.testing.assert_array_equal(clipped.final, clip(raw.final))
+        # ``clip=`` alone switches postprocessing on; there is no separate flag.
+        assert not np.array_equal(clipped.final, raw.final)
         for (_, a), (_, b) in zip(raw.states, clipped.states):
             np.testing.assert_array_equal(a, b)
 
@@ -338,14 +335,11 @@ class TestClipTiming:
         init = np.random.default_rng(6).standard_normal((16, 1))
         clip = lambda x: np.clip(x, -0.1, 0.1)
         final_only = run_sampler(
-            SamplerConfig(
-                variant="plain", postprocess_enabled=True, clip=clip,
-                clip_timing="final-only",
-            ),
+            SamplerConfig(variant="plain", clip=clip, clip_timing="final-only"),
             linear_schedule, ts, eps_model, init,
         )
         every_step = run_sampler(
-            SamplerConfig(variant="plain", postprocess_enabled=True, clip=clip),
+            SamplerConfig(variant="plain", clip=clip),
             linear_schedule, ts, eps_model, init,
         )
         assert not np.array_equal(final_only.states[2][1], every_step.states[2][1])
