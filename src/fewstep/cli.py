@@ -1,7 +1,7 @@
 """Command-line entry point: schedule inspection, sampling runs, and comparisons.
 
 Exit codes: 0 on success, 1 for configuration problems (flag-parsing errors
-included), 2 for numerical failures during sampling.
+included), 2 for numerical failures: a non-finite sampler state or metric.
 """
 
 from __future__ import annotations
@@ -10,32 +10,20 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import CLIP_ORDERS, ConfigError, ExperimentConfig, load_config_mapping
-from .guidance import GUIDANCE_MODES, compounding_scale, guide_interpolate, guide_negative
+from .config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_config_mapping
+from .guidance import compounding_scale, guide_interpolate, guide_negative
 from .importance import ImportanceCurve, compute_importance
-from .metrics import (
-    RunReport,
-    moments_error,
-    saturation_fraction,
-    sliced_wasserstein,
-    wasserstein_1d,
-)
+from .metrics import RunReport, moments_error, saturation_fraction, sliced_wasserstein, wasserstein_1d
 from .mixture import MIXTURE_PRESETS, MixtureModel, mixture_from_config, mixture_preset
-from .postprocess import CLIP_METHODS, batch_clip
-from .sampling import (
-    CLIP_TIMING,
-    NumericalError,
-    SAMPLER_VARIANTS,
-    SampleTrajectory,
-    SamplerConfig,
-    run_sampler,
-)
-from .schedules import SCHEDULE_KINDS, NoiseSchedule, build_schedule
+from .postprocess import batch_clip
+from .sampling import NumericalError, SampleTrajectory, SamplerConfig, run_sampler
+from .schedules import NoiseSchedule, build_schedule
 from .seeding import STREAM_GROUND_TRUTH, STREAM_INITIAL_NOISE, stream
 from .timesteps import TimestepSchedule, adaptive_schedule, equidistant_schedule, importance_schedule
 
@@ -52,40 +40,27 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# Flags are named after the config fields; these are the ones with a help line.
+FLAG_HELP = {
+    "steps": "inference step count",
+    "theta": "adaptive selection threshold in [0, 1]",
+    "gamma": "re-noising proportion in [0, 1)",
+    "condition": "mixture component used as the guidance condition",
+    "negative_condition": "component used as the negative prediction; full mixture when absent",
+    "mixture": "preset name or mixture JSON path",
+    "directions": "sliced-distance projection count",
+}
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", action="append", default=None, metavar="FILE",
+                        help="JSON config file; explicit flags override its values")
     # Defaults stay None so explicit flags can be told apart from absent ones
     # when merging with config files.
-    add = parser.add_argument
-    add("--config", action="append", default=None, metavar="FILE",
-        help="JSON config file; explicit flags override its values")
-    add("--schedule-kind", choices=SCHEDULE_KINDS, default=None)
-    add("--num-train-steps", type=int, default=None, metavar="T")
-    add("--beta-start", type=float, default=None)
-    add("--beta-end", type=float, default=None)
-    add("--importance-epsilon", type=float, default=None)
-    add("--steps", type=int, default=None, metavar="N", help="inference step count")
-    add("--theta", type=float, default=None, help="adaptive selection threshold in [0, 1]")
-    add("--variant", choices=SAMPLER_VARIANTS, default=None)
-    add("--gamma", type=float, default=None, help="re-noising proportion in [0, 1)")
-    add("--cfg-mode", choices=GUIDANCE_MODES, default=None)
-    add("--cfg-scale", type=float, default=None, metavar="OMEGA")
-    add("--distill-omega", type=float, default=None)
-    add("--condition", type=int, default=None, metavar="LABEL",
-        help="mixture component used as the guidance condition")
-    add("--negative-condition", type=int, default=None, metavar="LABEL",
-        help="component used as the negative prediction; full mixture when absent")
-    add("--clip-method", choices=CLIP_METHODS, default=None)
-    add("--clip-alpha", type=float, default=None)
-    add("--clip-beta", type=float, default=None)
-    add("--clip-order", choices=CLIP_ORDERS, default=None)
-    add("--clip-timing", choices=CLIP_TIMING, default=None)
-    add("--quantile-q", type=float, default=None)
-    add("--quantile-ceiling", type=float, default=None)
-    add("--mixture", default=None, help="preset name or mixture JSON path")
-    add("--batch", type=int, default=None)
-    add("--seed", type=int, default=None)
-    add("--directions", type=int, default=None, help="sliced-distance projection count")
-    add("--out", default=None, help="output path (directory for schedule, file otherwise)")
+    for name, (kind, _) in FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, choices=CHOICES.get(name),
+                            default=None, help=FLAG_HELP.get(name))
+    parser.add_argument("--out", default=None, help="output path (directory for schedule, file otherwise)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,19 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for name in ExperimentConfig.field_names():
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return overrides
-
-
 def _resolve_config(args: argparse.Namespace, file_mapping: Optional[dict] = None) -> ExperimentConfig:
-    merged = dict(file_mapping or {})
-    merged.update(_flag_overrides(args))
-    return ExperimentConfig().with_overrides(merged)
+    flags = {name: value for name, value in vars(args).items() if name in FIELDS and value is not None}
+    return ExperimentConfig.from_mapping({**(file_mapping or {}), **flags})
 
 
 def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
@@ -170,8 +135,11 @@ def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: Noise
 
 def _schedule_and_curve(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve]:
     """Build the noise schedule and its importance curve, and check the step count against it."""
-    schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
-    curve = compute_importance(schedule, cfg.importance_epsilon)
+    try:
+        schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
+        curve = compute_importance(schedule, cfg.importance_epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"bad noise schedule: {exc}") from None
     if not 2 <= cfg.steps <= schedule.num_steps:
         raise ConfigError(f"steps {cfg.steps} outside [2, {schedule.num_steps}]")
     return schedule, curve
@@ -223,6 +191,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
         w1 = wasserstein_1d(trajectory.final[:, 0], truth[:, 0])
     else:
         w1 = sliced_wasserstein(trajectory.final, truth, cfg.directions, rng_seed=cfg.seed)
+    if not all(math.isfinite(m) for m in (mean_error, cov_error, w1)):
+        raise NumericalError(f"non-finite metrics: mean {mean_error}, covariance {cov_error}, W1 {w1}")
 
     config_echo = cfg.to_dict()
     if cfg.distill_omega is not None:
@@ -249,24 +219,26 @@ def _write_text(path: Optional[str], text: str, stdout) -> None:
         target.write_text(text)
 
 
-def _curve_csv(schedule: NoiseSchedule, curve: ImportanceCurve) -> str:
+def _csv_text(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "alpha_bar", "snr", "importance"])
-    for t in range(schedule.num_steps):
-        writer.writerow([t, repr(float(schedule.alpha_bars[t])), repr(schedule.snr(t)), repr(float(curve.values[t]))])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _curve_csv(schedule: NoiseSchedule, curve: ImportanceCurve) -> str:
+    return _csv_text(["t", "alpha_bar", "snr", "importance"], (
+        [t, repr(float(schedule.alpha_bars[t])), repr(schedule.snr(t)), repr(float(curve.values[t]))]
+        for t in range(schedule.num_steps)
+    ))
 
 
 def _schedules_csv(named: dict[str, TimestepSchedule], curve: ImportanceCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["schedule", "slot", "timestep", "importance", "provenance"])
-    for name, ts in named.items():
-        for slot in range(ts.n):
-            t = int(ts.steps[slot])
-            writer.writerow([name, slot, t, repr(float(curve.values[t])), ts.provenance[slot]])
-    return buf.getvalue()
+    return _csv_text(["schedule", "slot", "timestep", "importance", "provenance"], (
+        [name, slot, int(t), repr(float(curve.values[t])), ts.provenance[slot]]
+        for name, ts in named.items() for slot, t in enumerate(ts.steps)
+    ))
 
 
 def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
@@ -287,17 +259,13 @@ def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
 
 
 def _trajectory_csv(trajectory, dim: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "timestep", "chain"] + [f"x{i}" for i in range(dim)])
-    chains = min(TRAJECTORY_CHAIN_LIMIT, trajectory.final.shape[0])
-    for index, (t, state) in enumerate(trajectory.states):
-        for chain in range(chains):
-            writer.writerow([index, t, chain] + [repr(float(v)) for v in state[chain]])
-    for chain in range(chains):
-        # The terminal estimate lives on the data axis, marked with timestep -1.
-        writer.writerow([len(trajectory.states), -1, chain] + [repr(float(v)) for v in trajectory.final[chain]])
-    return buf.getvalue()
+    chains = range(min(TRAJECTORY_CHAIN_LIMIT, trajectory.final.shape[0]))
+    # The terminal estimate lives on the data axis, marked with timestep -1.
+    visits = [*trajectory.states, (-1, trajectory.final)]
+    return _csv_text(["index", "timestep", "chain"] + [f"x{i}" for i in range(dim)], (
+        [index, t, chain] + [repr(float(v)) for v in state[chain]]
+        for index, (t, state) in enumerate(visits) for chain in chains
+    ))
 
 
 def cmd_sample(cfg: ExperimentConfig, out: Optional[str], trajectory_out: Optional[str], stdout) -> int:
@@ -317,7 +285,7 @@ COMPARE_COLUMNS = (
 def _parse_sweep(sweep: str, base: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
     key, _, values = sweep.partition("=")
     key = key.strip()
-    if not values or key not in ExperimentConfig.field_names():
+    if not values or key not in FIELDS:
         raise ConfigError(f"--sweep expects FIELD=V1,V2,... with a known field, got {sweep!r}")
     out = []
     for raw in values.split(","):
@@ -339,17 +307,15 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
         raise ConfigError(
             f"compare requires a shared mixture and seed, got mixtures {sorted(mixtures)} and seeds {sorted(seeds)}"
         )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COMPARE_COLUMNS)
+    rows = []
     for label, cfg in labeled:
         report, _ = run_experiment(cfg)
-        writer.writerow([
+        rows.append([
             label, cfg.steps, repr(cfg.theta), cfg.variant, repr(cfg.gamma), cfg.cfg_mode,
             repr(cfg.cfg_scale), cfg.clip_method, repr(report.mean_error), repr(report.cov_error),
             repr(report.wasserstein1), repr(report.saturation_fraction), report.step_count,
         ])
-    _write_text(out, buf.getvalue(), stdout)
+    _write_text(out, _csv_text(COMPARE_COLUMNS, rows), stdout)
     return 0
 
 

@@ -3,28 +3,55 @@
 Resolution order is package defaults, then a JSON config file, then explicit
 command-line flags, so flags always win. The resolved form is a flat mapping
 that round-trips through JSON unchanged.
+
+Each knob is declared once, as an annotated ``ExperimentConfig`` field (with
+its allowed values in ``CHOICES``). The CLI builds its flags from ``FIELDS``,
+and every value, from a flag, a file or a caller, is checked against it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .guidance import GUIDANCE_MODES
 from .postprocess import CLIP_METHODS
 from .sampling import CLIP_TIMING, SAMPLER_VARIANTS
 from .schedules import SCHEDULE_KINDS
 
-__all__ = ["ConfigError", "ExperimentConfig", "CLIP_ORDERS"]
+__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "CLIP_ORDERS", "FIELDS"]
 
 CLIP_ORDERS = ("balance-first", "tanh-first")
+
+# Allowed values of the enumerated fields, owned by the modules that act on them.
+CHOICES = {
+    "schedule_kind": SCHEDULE_KINDS,
+    "variant": SAMPLER_VARIANTS,
+    "cfg_mode": GUIDANCE_MODES,
+    "clip_method": CLIP_METHODS,
+    "clip_order": CLIP_ORDERS,
+    "clip_timing": CLIP_TIMING,
+}
+
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _accepts(kind: type, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        # Ints pass uncoerced, so a config echoes as it was written. The bound
+        # rejects NaN, the infinities and ints beyond the float range.
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -58,24 +85,25 @@ class ExperimentConfig:
     directions: int = 32
 
     def __post_init__(self):
+        for name, (kind, optional) in FIELDS.items():
+            value = getattr(self, name)
+            if not (value is None and optional or _accepts(kind, value)):
+                raise ConfigError(f"{name} must be {_EXPECTED[kind]}{' or null' if optional else ''}, got {value!r}")
+            if name in CHOICES and value not in CHOICES[name]:
+                raise ConfigError(f"{name} must be one of {CHOICES[name]}")
         checks = (
-            (self.schedule_kind in SCHEDULE_KINDS, f"schedule_kind must be one of {SCHEDULE_KINDS}"),
             (self.num_train_steps >= 3, "num_train_steps must be at least 3"),
             (0.0 < self.beta_start <= self.beta_end < 1.0, "beta range must satisfy 0 < start <= end < 1"),
             (self.importance_epsilon > 0.0, "importance_epsilon must be positive"),
             (self.steps >= 2, "steps must be at least 2"),
             (0.0 <= self.theta <= 1.0, "theta must lie in [0, 1]"),
-            (self.variant in SAMPLER_VARIANTS, f"variant must be one of {SAMPLER_VARIANTS}"),
             (0.0 <= self.gamma < 1.0, "gamma must lie in [0, 1)"),
-            (self.cfg_mode in GUIDANCE_MODES, f"cfg_mode must be one of {GUIDANCE_MODES}"),
             (self.cfg_scale >= 0.0, "cfg_scale must be non-negative"),
             (self.distill_omega is None or self.distill_omega >= 0.0, "distill_omega must be non-negative"),
-            (self.clip_method in CLIP_METHODS, f"clip_method must be one of {CLIP_METHODS}"),
-            (self.clip_order in CLIP_ORDERS, f"clip_order must be one of {CLIP_ORDERS}"),
-            (self.clip_timing in CLIP_TIMING, f"clip_timing must be one of {CLIP_TIMING}"),
             (0.0 < self.quantile_q <= 1.0, "quantile_q must lie in (0, 1]"),
             (self.quantile_ceiling >= 1.0, "quantile_ceiling must be at least 1"),
             (self.batch >= 1, "batch must be at least 1"),
+            (self.seed >= 0, "seed must be non-negative"),
             (self.directions >= 8, "directions must be at least 8"),
         )
         for ok, message in checks:
@@ -83,18 +111,11 @@ class ExperimentConfig:
                 raise ConfigError(message)
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
-
-    @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        unknown = sorted(set(mapping) - set(cls.field_names()))
+        unknown = sorted(set(mapping) - set(FIELDS))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        try:
-            return cls(**mapping)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**mapping)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -108,6 +129,13 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+# Field name -> (value type, whether None is allowed), read from the annotations.
+FIELDS = {
+    name: (get_args(hint)[0], True) if get_args(hint) else (hint, False)
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
 
 
 def load_config_mapping(path: str | Path) -> dict:

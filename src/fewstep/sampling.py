@@ -95,10 +95,13 @@ def _denoise(
     x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
     if clip is not None:
         x0_hat = clip(x0_hat)
-    if t_to is None:
-        return x0_hat
-    ab_to = schedule.alpha_bar_at(t_to)
-    return np.sqrt(ab_to) * x0_hat + np.sqrt(1.0 - ab_to) * eps
+    x = x0_hat
+    if t_to is not None:
+        ab_to = schedule.alpha_bar_at(t_to)
+        x = np.sqrt(ab_to) * x0_hat + np.sqrt(1.0 - ab_to) * eps
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"non-finite state after the step from timestep {t_from}")
+    return x
 
 
 def denoise_step(
@@ -218,6 +221,4 @@ def run_sampler(
             x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
         states.append(record(t_anchor, x))
     final = _denoise(eps_model, schedule, x, int(steps[-1]), None, config.clip)
-    if not np.all(np.isfinite(final)):
-        raise NumericalError("terminal state contains non-finite entries")
     return SampleTrajectory(states=states, final=final[0] if squeeze else final)

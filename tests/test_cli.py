@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fewstep import ExperimentConfig, main, run_experiment
-from fewstep.config import ConfigError, load_config_mapping
+from fewstep import MIXTURE_PRESETS, ExperimentConfig, main, run_experiment
+from fewstep.config import CHOICES, FIELDS, ConfigError, load_config_mapping
 
 
 def run_cli(*argv):
@@ -57,6 +63,12 @@ class TestExperimentConfig:
             ("quantile_ceiling", 0.2),
             ("beta_start", 0.0),
             ("directions", 2),
+            ("steps", 8.5),
+            ("seed", 1.5),
+            ("batch", True),
+            ("condition", "0"),
+            ("clip_alpha", math.nan),
+            ("seed", -1),
         ],
     )
     def test_validation(self, field, value):
@@ -114,6 +126,15 @@ class TestScheduleCommand:
     def test_rejects_oversized_step_count(self):
         code, _ = run_cli("schedule", "--num-train-steps", "16", "--steps", "32")
         assert code == 1
+
+    def test_underflowing_schedule_exits_one(self, capsys):
+        # alpha_bar underflows to 0 long before timestep 5000 at this beta range.
+        code, _ = run_cli("sample", "--beta-end", "0.5", "--num-train-steps", "5000")
+        assert code == 1
+        assert "error: bad noise schedule" in capsys.readouterr().err
+
+
+CLIP_OVERFLOW = ("--mixture", "grid-2d", "--clip-method", "tanh-balance", "--clip-order", "tanh-first")
 
 
 class TestSampleCommand:
@@ -220,16 +241,76 @@ class TestSampleCommand:
         assert "needs --condition" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numerical_failure_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
         # Means this large overflow the squared distances inside the oracle,
         # which surfaces as a non-finite prediction on the first step.
+        ("--steps", "4", "--mixture", "MIXTURE_FILE"),
+        # Finite but extreme clip parameters overflow the clipped state...
+        (*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-beta", "1e308"),
+        # ...or, when only the terminal estimate is clipped, the metrics.
+        (*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-timing", "final-only"),
+    ], ids=["oracle", "clip-every-step", "clip-final-only"])
+    def test_numerical_failure_exits_two(self, argv, tmp_path, capsys):
         path = tmp_path / "mixture.json"
         path.write_text(json.dumps({
             "components": [{"weight": 1.0, "mean": [1e200], "variance": 1.0}]
         }))
-        code, _ = run_cli("sample", "--steps", "4", "--batch", "8", "--mixture", str(path))
+        argv = [str(path) if arg == "MIXTURE_FILE" else arg for arg in argv]
+        code, _ = run_cli("sample", "--batch", "8", *argv)
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+# Valid values per field, kept small: batch <= 8, steps <= 8, num_train_steps
+# <= 1000, preset mixtures only. Some valid combinations still fail, such as
+# an underflowing beta range or an overflowing clip.
+VALID_VALUES = {
+    **{name: list(values) for name, values in CHOICES.items()},
+    "num_train_steps": [3, 16, 1000],
+    "beta_start": [1e-4, 0.02],
+    "beta_end": [0.02, 0.5],
+    "importance_epsilon": [1e-8, 1],
+    "steps": [2, 8],
+    "theta": [0, 0.7, 1.0],
+    "gamma": [0.0, 0.2],
+    "cfg_scale": [0, 7.5, 1e308],
+    "distill_omega": [0, 2.0],
+    "condition": [0, 1, 5],
+    "negative_condition": [0, 1],
+    "clip_alpha": [0.5, 1e308],
+    "clip_beta": [0.5, 1e308],
+    "quantile_q": [0.5, 0.995],
+    "quantile_ceiling": [1.0, 3.0],
+    "mixture": sorted(MIXTURE_PRESETS),
+    "batch": [1, 8],
+    "seed": [0, 7],
+    "directions": [8, 32],
+}
+WRONG_VALUES = [None, True, 8.5, "x", math.nan, math.inf, -1]
+# Keyed by FIELDS, so a field without a pool fails at collection.
+VALID_FIELDS = {name: st.sampled_from(VALID_VALUES[name]) for name in FIELDS}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    # batch is always drawn, so the default of 512 chains never runs here.
+    valid=st.fixed_dictionaries(
+        {"batch": VALID_FIELDS["batch"]},
+        optional={name: values for name, values in VALID_FIELDS.items() if name != "batch"},
+    ),
+    # A few fields take a wrong value instead, so most examples still run.
+    wrong=st.dictionaries(st.sampled_from(sorted(FIELDS)), st.sampled_from(WRONG_VALUES), max_size=2),
+)
+def test_any_config_file_exits_zero_one_or_two(valid, wrong):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**valid, **wrong}))
+        code = main(["sample", "--config", str(path)], stdout=io.StringIO())
+    assert code in (0, 1, 2)
+    if code:
+        assert stderr.getvalue().startswith(("error: ", "numerical failure: "))
 
 
 class TestCompareCommand:
