@@ -10,7 +10,6 @@ from .cli import main, run_experiment
 from .config import ConfigError, ExperimentConfig
 from .guidance import (
     GUIDANCE_MODES,
-    CompoundingScale,
     GuidanceConfig,
     compounding_scale,
     guide_interpolate,
@@ -35,10 +34,7 @@ from .postprocess import (
     smooth_clip,
 )
 from .sampling import (
-    CLIP_TIMING,
-    SAMPLER_VARIANTS,
     NumericalError,
-    SampleTrajectory,
     SamplerConfig,
     denoise_step,
     noisify,
@@ -65,8 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLIP_METHODS",
-    "CLIP_TIMING",
-    "CompoundingScale",
     "ConfigError",
     "EQUIDISTANT",
     "ExperimentConfig",
@@ -79,13 +73,11 @@ __all__ = [
     "NoiseSchedule",
     "NumericalError",
     "RunReport",
-    "SAMPLER_VARIANTS",
     "SCHEDULE_KINDS",
     "STREAM_GROUND_TRUTH",
     "STREAM_INITIAL_NOISE",
     "STREAM_PROJECTIONS",
     "STREAM_RENOISE",
-    "SampleTrajectory",
     "SamplerConfig",
     "TimestepSchedule",
     "adaptive_schedule",

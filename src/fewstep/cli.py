@@ -1,7 +1,8 @@
 """Command-line entry point: schedule inspection, sampling runs, and comparisons.
 
 Exit codes: 0 on success, 1 for configuration problems (flag-parsing errors
-included), 2 for numerical failures: a non-finite sampler state or metric.
+included), 2 for numerical failures: a non-finite sampler state, metric or
+compounding diagnostic.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     config_echo = cfg.to_dict()
     if cfg.distill_omega is not None:
         diag = compounding_scale(cfg.cfg_scale, cfg.distill_omega)
+        if not all(math.isfinite(v) for v in diag if v is not None):
+            raise NumericalError(f"non-finite compounding diagnostic: scale {diag.scale}, alpha {diag.alpha}")
         config_echo["compounding"] = {"scale": diag.scale, "alpha": diag.alpha}
     report = RunReport(
         config_echo=config_echo,

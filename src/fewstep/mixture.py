@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .schedules import NoiseSchedule
 
@@ -88,14 +87,14 @@ class MixtureModel:
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Mixture log-density at ``x`` of shape ``(d,)`` or ``(batch, d)``."""
         x, squeeze = _as_batch(x, self.dim)
-        out = logsumexp(self._component_log_densities(x), axis=1)
+        out = _logsumexp(self._component_log_densities(x))
         return out[0] if squeeze else out
 
     def responsibilities(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Posterior component probabilities under the diffused mixture at ``t``."""
         x, squeeze = _as_batch(x, self.dim)
         ll = self.diffused_params(schedule, t)._component_log_densities(x)
-        r = np.exp(ll - logsumexp(ll, axis=1, keepdims=True))
+        r = np.exp(ll - _logsumexp(ll)[:, None])
         return r[0] if squeeze else r
 
     def score(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
@@ -105,7 +104,7 @@ class MixtureModel:
             raise ValueError("score requires finite input")
         diffused = self.diffused_params(schedule, t)
         ll = diffused._component_log_densities(x)
-        r = np.exp(ll - logsumexp(ll, axis=1, keepdims=True))
+        r = np.exp(ll - _logsumexp(ll)[:, None])
         pulls = (diffused.means[None, :, :] - x[:, None, :]) / diffused.variances[None, :, None]
         out = (r[:, :, None] * pulls).sum(axis=1)
         return out[0] if squeeze else out
@@ -134,6 +133,12 @@ class MixtureModel:
         labels = rng.choice(self.num_components, size=count, p=self.weights)
         noise = rng.standard_normal((count, self.dim))
         return self.means[labels] + np.sqrt(self.variances[labels])[:, None] * noise
+
+
+def _logsumexp(ll: np.ndarray) -> np.ndarray:
+    """Row-wise ``log(sum(exp(ll)))``, shifted by each row's max; a row of ``-inf`` gives ``-inf``."""
+    peak = ll.max(axis=1).clip(min=np.finfo(np.float64).min)
+    return peak + np.log(np.exp(ll - peak[:, None]).sum(axis=1))
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:

@@ -249,7 +249,11 @@ class TestSampleCommand:
         (*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-beta", "1e308"),
         # ...or, when only the terminal estimate is clipped, the metrics.
         (*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-timing", "final-only"),
-    ], ids=["oracle", "clip-every-step", "clip-final-only"])
+        # Finite guidance knobs whose compounding scale overflows, or whose
+        # mixing coefficient does once the scale is subnormal.
+        ("--cfg-scale", "1e308", "--distill-omega", "8.5"),
+        ("--cfg-scale", "1e-160", "--distill-omega", "1e-160"),
+    ], ids=["oracle", "clip-every-step", "clip-final-only", "compounding-scale", "compounding-alpha"])
     def test_numerical_failure_exits_two(self, argv, tmp_path, capsys):
         path = tmp_path / "mixture.json"
         path.write_text(json.dumps({
@@ -291,26 +295,61 @@ WRONG_VALUES = [None, True, 8.5, "x", math.nan, math.inf, -1]
 VALID_FIELDS = {name: st.sampled_from(VALID_VALUES[name]) for name in FIELDS}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=60, deadline=None)
-@given(
-    # batch is always drawn, so the default of 512 chains never runs here.
-    valid=st.fixed_dictionaries(
+# A config file holds valid values for some fields, and a few fields take a
+# wrong value instead, so most examples still run. batch is always drawn, so
+# the default of 512 chains never runs here.
+CONFIG_MAPPINGS = st.builds(
+    lambda valid, wrong: {**valid, **wrong},
+    st.fixed_dictionaries(
         {"batch": VALID_FIELDS["batch"]},
         optional={name: values for name, values in VALID_FIELDS.items() if name != "batch"},
     ),
-    # A few fields take a wrong value instead, so most examples still run.
-    wrong=st.dictionaries(st.sampled_from(sorted(FIELDS)), st.sampled_from(WRONG_VALUES), max_size=2),
+    st.dictionaries(st.sampled_from(sorted(FIELDS)), st.sampled_from(WRONG_VALUES), max_size=2),
 )
-def test_any_config_file_exits_zero_one_or_two(valid, wrong):
-    stderr = io.StringIO()
+# One field swept over two values, each valid or wrong.
+SWEEPS = st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: st.lists(st.sampled_from(VALID_VALUES[name] + WRONG_VALUES), min_size=2, max_size=2)
+    .map(lambda values: name + "=" + ",".join(json.dumps(v) for v in values))
+)
+
+
+def run_config_file(argv, mapping):
+    """Run ``main`` with ``mapping`` as its config file and check the exit-code contract."""
+    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps({**valid, **wrong}))
-        code = main(["sample", "--config", str(path)], stdout=io.StringIO())
+        path.write_text(json.dumps(mapping))
+        code = main([*argv, "--config", str(path)], stdout=stdout)
     assert code in (0, 1, 2)
     if code:
         assert stderr.getvalue().startswith(("error: ", "numerical failure: "))
+    return code, stdout.getvalue()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(mapping=CONFIG_MAPPINGS)
+def test_any_config_file_exits_zero_one_or_two(mapping):
+    code, out = run_config_file(["sample"], mapping)
+    if code == 0:
+        json.loads(out, parse_constant=reject_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapping=CONFIG_MAPPINGS)
+def test_any_schedule_config_file_exits_zero_one_or_two(mapping):
+    run_config_file(["schedule"], mapping)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(mapping=CONFIG_MAPPINGS, sweep=SWEEPS)
+def test_any_compare_sweep_exits_zero_one_or_two(mapping, sweep):
+    run_config_file(["compare", "--sweep", sweep], mapping)
 
 
 class TestCompareCommand:
@@ -410,3 +449,13 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["step_count"] == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # NumPy is the only runtime dependency; SciPy serves the tests as an oracle.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fewstep.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import wasserstein_distance
 
 from fewstep import (
     MixtureModel,
@@ -13,6 +14,16 @@ from fewstep import (
     sliced_wasserstein,
     wasserstein_1d,
 )
+from fewstep.metrics import _sorted_gap
+from fewstep.seeding import STREAM_PROJECTIONS, stream
+
+# Sizes for the SciPy oracle: single points, a pair, an odd batch and a large one.
+ORACLE_SIZES = [1, 2, 513, 10_000]
+
+
+def tied_samples(seed, shape, scale=1.0, shift=0.0):
+    # Rounded to one decimal, so values repeat within each set and across sets.
+    return np.round(np.random.default_rng(seed).normal(size=shape) * scale + shift, 1)
 
 
 class TestMoments:
@@ -88,6 +99,19 @@ class TestWasserstein1D:
         with pytest.raises(ValueError, match="non-empty"):
             wasserstein_1d([], [1.0])
 
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    def test_matches_scipy(self, size):
+        a = tied_samples(size, size)
+        b = tied_samples(size + 1, size, scale=1.5, shift=0.2)
+        np.testing.assert_allclose(wasserstein_1d(a, b), wasserstein_distance(a, b), rtol=1e-12, atol=0)
+
+    def test_rejects_unequal_sizes(self):
+        # A single point would otherwise broadcast against the whole other set.
+        with pytest.raises(ValueError, match="equal size"):
+            wasserstein_1d([0.0], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="equal size"):
+            wasserstein_1d(np.zeros(5), np.zeros(4))
+
 
 class TestSlicedWasserstein:
     def test_identical_samples_have_zero_distance(self):
@@ -130,6 +154,24 @@ class TestSlicedWasserstein:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError, match="equal dim"):
             sliced_wasserstein(np.zeros((5, 2)), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    def test_each_projection_matches_scipy(self, size):
+        a = tied_samples(size, (size, 2))
+        b = tied_samples(size + 1, (size, 2), scale=0.8, shift=0.3)
+        proj = stream(5, STREAM_PROJECTIONS).standard_normal((32, 2))
+        proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+        pa, pb = proj @ a.T, proj @ b.T
+        expected = [wasserstein_distance(u, v) for u, v in zip(pa, pb)]
+        np.testing.assert_allclose(_sorted_gap(pa, pb), expected, rtol=1e-12, atol=0)
+        got = sliced_wasserstein(a, b, directions=32, rng_seed=5)
+        np.testing.assert_allclose(got, np.mean(expected), rtol=1e-12, atol=0)
+
+    def test_rejects_unequal_sizes(self):
+        with pytest.raises(ValueError, match="equal size"):
+            sliced_wasserstein(np.zeros((1, 2)), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="equal size"):
+            sliced_wasserstein(np.zeros((6, 2)), np.zeros((5, 2)))
 
 
 class TestSaturation:

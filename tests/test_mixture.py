@@ -100,8 +100,10 @@ class TestDiffusion:
 
 
 class TestDensityAndScore:
-    def test_log_density_matches_scipy_mixture(self, bimodal):
-        xs = np.linspace(-2.0, 2.0, 9)[:, None]
+    def test_log_density_matches_scipy_mixture(self, bimodal, linear_schedule):
+        # The far-tail points put every component's exp(log-density) below the
+        # smallest double, so only a max-shifted log-sum-exp stays finite there.
+        xs = np.concatenate([np.linspace(-2.0, 2.0, 9), [-60.0, -40.0, 40.0, 60.0]])[:, None]
         got = bimodal.log_density(xs)
         parts = [
             np.log(w) + norm.logpdf(xs[:, 0], loc=m[0], scale=np.sqrt(v))
@@ -109,6 +111,11 @@ class TestDensityAndScore:
         ]
         expected = np.logaddexp(*parts)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+        r = bimodal.responsibilities(linear_schedule, xs, 0)
+        np.testing.assert_allclose(r.sum(axis=1), 1.0, rtol=1e-12)
+        # Squared distances that overflow leave every component at -inf.
+        with np.errstate(over="ignore", divide="ignore"):
+            assert bimodal.log_density(np.array([1e200])) == -np.inf
 
     def test_single_gaussian_score_closed_form(self, linear_schedule):
         model = MixtureModel(weights=[1.0], means=[[0.3, -0.2]], variances=[0.05])
