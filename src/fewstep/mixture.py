@@ -5,6 +5,10 @@ mixture with means ``sqrt(ab_t) * mu_k`` and variances ``ab_t * var_k + (1 - ab_
 and the score is available in closed form. Component indices double as
 condition labels for guidance experiments: conditioning restricts the model to
 a single component, the unconditional model is the full mixture.
+
+A noise prediction diffuses the selected components as plain arrays and builds
+no model. A single component, as in every conditioned prediction, has the score
+``(mu' - x) / var'``; only several components need posterior responsibilities.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class MixtureModel:
             raise ValueError("weights and variances must be 1-D, means 2-D (components, dim)")
         if not weights.size == variances.size == means.shape[0]:
             raise ValueError("weights, means and variances must have one entry per component")
+        if not all(np.all(np.isfinite(arr)) for arr in (weights, means, variances)):
+            raise ValueError("weights, means and variances must be finite")
         if np.any(weights <= 0.0) or np.any(weights > 1.0):
             raise ValueError("weights must lie in (0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -55,59 +61,68 @@ class MixtureModel:
     def num_components(self) -> int:
         return int(self.weights.size)
 
-    def component(self, label: int) -> "MixtureModel":
-        """Restrict to one component, the conditional model for that label."""
+    def _rows(self, label: int) -> slice:
         label = int(label)
         if not 0 <= label < self.num_components:
             raise ValueError(f"unknown condition label {label}, model has {self.num_components} components")
-        return MixtureModel(
-            weights=np.ones(1),
-            means=self.means[label : label + 1],
-            variances=self.variances[label : label + 1],
-        )
+        return slice(label, label + 1)
+
+    def component(self, label: int) -> "MixtureModel":
+        """Restrict to one component, the conditional model for that label."""
+        rows = self._rows(label)
+        return MixtureModel(weights=np.ones(1), means=self.means[rows], variances=self.variances[rows])
+
+    def _diffused(self, ab: float, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        # Means and variances of the components in ``rows`` at alpha-bar ``ab``.
+        return np.sqrt(ab) * self.means[rows], ab * self.variances[rows] + (1.0 - ab)
 
     def diffused_params(self, schedule: NoiseSchedule, t: int) -> "MixtureModel":
         """Exact mixture parameters after diffusing to timestep ``t``."""
-        ab = schedule.alpha_bar_at(t)
-        return MixtureModel(
-            weights=self.weights,
-            means=np.sqrt(ab) * self.means,
-            variances=ab * self.variances + (1.0 - ab),
-        )
-
-    def _component_log_densities(self, x: np.ndarray) -> np.ndarray:
-        # Rows of x against every component; returns (batch, components).
-        sq = ((x[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=-1)
-        return (
-            np.log(self.weights)[None, :]
-            - 0.5 * self.dim * np.log(2.0 * np.pi * self.variances)[None, :]
-            - 0.5 * sq / self.variances[None, :]
-        )
+        means, variances = self._diffused(schedule.alpha_bar_at(t))
+        return MixtureModel(weights=self.weights, means=means, variances=variances)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Mixture log-density at ``x`` of shape ``(d,)`` or ``(batch, d)``."""
         x, squeeze = _as_batch(x, self.dim)
-        out = _logsumexp(self._component_log_densities(x))
+        out = _logsumexp(self._log_densities(self.variances, self.means - x[:, None, :]))
         return out[0] if squeeze else out
 
     def responsibilities(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Posterior component probabilities under the diffused mixture at ``t``."""
         x, squeeze = _as_batch(x, self.dim)
-        ll = self.diffused_params(schedule, t)._component_log_densities(x)
-        r = np.exp(ll - _logsumexp(ll)[:, None])
+        means, variances = self._diffused(schedule.alpha_bar_at(t))
+        r = self._posterior(variances, means - x[:, None, :])
         return r[0] if squeeze else r
 
     def score(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Gradient of the diffused mixture's log-density at ``x``."""
+        return self._score(schedule.alpha_bar_at(t), x)
+
+    def _score(self, ab: float, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        # Score at alpha-bar ``ab`` of one component's density, or of the whole mixture's.
         x, squeeze = _as_batch(x, self.dim)
         if not np.all(np.isfinite(x)):
             raise ValueError("score requires finite input")
-        diffused = self.diffused_params(schedule, t)
-        ll = diffused._component_log_densities(x)
-        r = np.exp(ll - _logsumexp(ll)[:, None])
-        pulls = (diffused.means[None, :, :] - x[:, None, :]) / diffused.variances[None, :, None]
-        out = (r[:, :, None] * pulls).sum(axis=1)
+        means, variances = self._diffused(ab, rows)
+        diff = means - x[:, None, :]
+        pulls = diff / variances[:, None]
+        if variances.size == 1:
+            out = pulls[:, 0]
+        else:
+            out = (self._posterior(variances, diff)[:, :, None] * pulls).sum(axis=1)
         return out[0] if squeeze else out
+
+    def _log_densities(self, variances: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        # Weighted log-densities (batch, components) of all components, from the offsets mu - x.
+        return (
+            np.log(self.weights)[None, :]
+            - 0.5 * self.dim * np.log(2.0 * np.pi * variances)[None, :]
+            - 0.5 * (diff**2).sum(axis=-1) / variances[None, :]
+        )
+
+    def _posterior(self, variances: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        ll = self._log_densities(variances, diff)
+        return np.exp(ll - _logsumexp(ll)[:, None])
 
     def epsilon_prediction(
         self,
@@ -121,9 +136,9 @@ class MixtureModel:
         With ``condition`` set, the score is that of the named component's
         diffused density instead of the full mixture's.
         """
-        model = self if condition is None else self.component(condition)
+        rows = slice(None) if condition is None else self._rows(condition)
         ab = schedule.alpha_bar_at(t)
-        return -np.sqrt(1.0 - ab) * model.score(schedule, x, t)
+        return -np.sqrt(1.0 - ab) * self._score(ab, x, rows)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
         """Exact ancestral samples of shape ``(count, dim)``, deterministic per seed."""

@@ -209,9 +209,10 @@ def run_sampler(
     rng = stream(config.rng_seed, STREAM_RENOISE)
 
     def record(t: int, state: np.ndarray) -> Tuple[int, np.ndarray]:
-        return t, (state[0] if squeeze else state).copy()
+        return t, state[0] if squeeze else state
 
-    states = [record(int(steps[0]), x)]
+    # Every later state is a fresh array; only the first can alias ``initial``.
+    states = [record(int(steps[0]), x.copy())]
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)

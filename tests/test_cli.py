@@ -241,33 +241,56 @@ class TestSampleCommand:
         assert "needs --condition" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("argv", [
-        # Means this large overflow the squared distances inside the oracle,
-        # which surfaces as a non-finite prediction on the first step.
-        ("--steps", "4", "--mixture", "MIXTURE_FILE"),
+    @pytest.mark.parametrize("argv, failure", [
+        # A mean this large keeps the one-component score finite, since it is
+        # the closed form (mu' - x) / var', but the samples' moments overflow.
+        (("--steps", "4", "--mixture", "MIXTURE_FILE"), "non-finite metrics"),
+        # With components at +-1e200 every squared distance overflows, so no
+        # component has a finite density and the prediction is non-finite.
+        (("--steps", "4", "--mixture", "FAR_COMPONENTS_FILE"), "non-finite noise prediction"),
         # Finite but extreme clip parameters overflow the clipped state...
-        (*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-beta", "1e308"),
+        ((*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-beta", "1e308"), "non-finite state"),
         # ...or, when only the terminal estimate is clipped, the metrics.
-        (*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-timing", "final-only"),
+        ((*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-timing", "final-only"), "non-finite metrics"),
         # Finite guidance knobs whose compounding scale overflows, or whose
         # mixing coefficient does once the scale is subnormal.
-        ("--cfg-scale", "1e308", "--distill-omega", "8.5"),
-        ("--cfg-scale", "1e-160", "--distill-omega", "1e-160"),
-    ], ids=["oracle", "clip-every-step", "clip-final-only", "compounding-scale", "compounding-alpha"])
-    def test_numerical_failure_exits_two(self, argv, tmp_path, capsys):
-        path = tmp_path / "mixture.json"
-        path.write_text(json.dumps({
-            "components": [{"weight": 1.0, "mean": [1e200], "variance": 1.0}]
-        }))
-        argv = [str(path) if arg == "MIXTURE_FILE" else arg for arg in argv]
+        (("--cfg-scale", "1e308", "--distill-omega", "8.5"), "compounding"),
+        (("--cfg-scale", "1e-160", "--distill-omega", "1e-160"), "compounding"),
+    ], ids=["oracle", "oracle-all-components", "clip-every-step", "clip-final-only",
+            "compounding-scale", "compounding-alpha"])
+    def test_numerical_failure_exits_two(self, argv, failure, tmp_path, capsys):
+        files = {}
+        for name, means in (("MIXTURE_FILE", [1e200]), ("FAR_COMPONENTS_FILE", [1e200, -1e200])):
+            files[name] = tmp_path / f"{name.lower()}.json"
+            files[name].write_text(json.dumps({"components": [
+                {"weight": 1.0 / len(means), "mean": [mean], "variance": 1.0} for mean in means
+            ]}))
+        argv = [str(files.get(arg, arg)) for arg in argv]
         code, _ = run_cli("sample", "--batch", "8", *argv)
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert failure in err
+
+    @pytest.mark.parametrize("component", [
+        {"weight": math.nan, "mean": [0.0], "variance": 1.0},
+        {"weight": 1.0, "mean": [math.nan], "variance": 1.0},
+        {"weight": 1.0, "mean": [0.0], "variance": math.inf},
+    ], ids=["nan-weight", "nan-mean", "inf-variance"])
+    def test_non_finite_mixture_file_exits_one(self, component, tmp_path, capsys):
+        # json.loads reads NaN and Infinity, so the model itself rejects them.
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps({"components": [component]}))
+        code, _ = run_cli("sample", "--batch", "8", "--mixture", str(path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad mixture file") and "finite" in err
 
 
 # Valid values per field, kept small: batch <= 8, steps <= 8, num_train_steps
-# <= 1000, preset mixtures only. Some valid combinations still fail, such as
-# an underflowing beta range or an overflowing clip.
+# <= 1000, preset mixtures (config files also draw mixture files, below).
+# Some valid combinations still fail, such as an underflowing beta range or an
+# overflowing clip.
 VALID_VALUES = {
     **{name: list(values) for name, values in CHOICES.items()},
     "num_train_steps": [3, 16, 1000],
@@ -295,14 +318,36 @@ WRONG_VALUES = [None, True, 8.5, "x", math.nan, math.inf, -1]
 VALID_FIELDS = {name: st.sampled_from(VALID_VALUES[name]) for name in FIELDS}
 
 
+@st.composite
+def mixture_files(draw):
+    """A small mixture file: 1-3 equally weighted components of dimension <= 2,
+    with up to two numbers swapped for a non-finite, zero or negative one."""
+    count, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    means = st.lists(st.sampled_from([-0.6, 0.0, 0.5]), min_size=dim, max_size=dim)
+    components = [
+        {"weight": 1.0 / count, "mean": draw(means), "variance": draw(st.sampled_from([0.01, 1.0]))}
+        for _ in range(count)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        component = draw(st.sampled_from(components))
+        key = draw(st.sampled_from(["weight", "mean", "variance"]))
+        odd = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5]))
+        if key == "mean":
+            component["mean"][draw(st.integers(0, dim - 1))] = odd
+        else:
+            component[key] = odd
+    return {"components": components}
+
+
 # A config file holds valid values for some fields, and a few fields take a
 # wrong value instead, so most examples still run. batch is always drawn, so
-# the default of 512 chains never runs here.
+# the default of 512 chains never runs here. So is the mixture: a preset or a
+# mixture file, which is written next to the config file.
 CONFIG_MAPPINGS = st.builds(
     lambda valid, wrong: {**valid, **wrong},
     st.fixed_dictionaries(
-        {"batch": VALID_FIELDS["batch"]},
-        optional={name: values for name, values in VALID_FIELDS.items() if name != "batch"},
+        {"batch": VALID_FIELDS["batch"], "mixture": st.one_of(VALID_FIELDS["mixture"], mixture_files())},
+        optional={name: values for name, values in VALID_FIELDS.items() if name not in ("batch", "mixture")},
     ),
     st.dictionaries(st.sampled_from(sorted(FIELDS)), st.sampled_from(WRONG_VALUES), max_size=2),
 )
@@ -317,6 +362,10 @@ def run_config_file(argv, mapping):
     """Run ``main`` with ``mapping`` as its config file and check the exit-code contract."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        if isinstance(mapping.get("mixture"), dict):
+            mixture_path = Path(tmp) / "mixture.json"
+            mixture_path.write_text(json.dumps(mapping["mixture"]))
+            mapping = {**mapping, "mixture": str(mixture_path)}
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(mapping))
         code = main([*argv, "--config", str(path)], stdout=stdout)

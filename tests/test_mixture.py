@@ -6,10 +6,12 @@ from scipy.stats import norm
 
 from fewstep import (
     MIXTURE_PRESETS,
+    ExperimentConfig,
     MixtureModel,
     build_schedule,
     mixture_from_config,
     mixture_preset,
+    run_experiment,
 )
 
 
@@ -61,6 +63,20 @@ class TestConstruction:
     def test_rejects_non_positive_variance(self):
         with pytest.raises(ValueError, match="variance"):
             MixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", [np.nan, 1.0]),
+        ("weights", [np.inf, 0.5]),
+        ("means", [[np.nan], [1.0]]),
+        ("means", [[0.0], [-np.inf]]),
+        ("variances", [1.0, np.inf]),
+        ("variances", [np.nan, 1.0]),
+    ], ids=["nan-weight", "inf-weight", "nan-mean", "inf-mean", "inf-variance", "nan-variance"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # A NaN weight would pass the range and sum checks, which compare false.
+        params = {"weights": [0.5, 0.5], "means": [[0.0], [1.0]], "variances": [1.0, 1.0], field: value}
+        with pytest.raises(ValueError, match="finite"):
+            MixtureModel(**params)
 
     def test_rejects_ragged_component_counts(self):
         with pytest.raises(ValueError, match="per component"):
@@ -124,6 +140,13 @@ class TestDensityAndScore:
         x = np.array([0.7, 0.1])
         expected = -(x - np.sqrt(ab) * model.means[0]) / (ab * 0.05 + 1.0 - ab)
         np.testing.assert_allclose(model.score(linear_schedule, x, t), expected, rtol=1e-12)
+        # It is exactly the pull (mu' - x) / var', finite where the squared
+        # distance overflows.
+        mean, var = np.sqrt(ab) * model.means[0], ab * model.variances[0] + (1.0 - ab)
+        xs = np.array([x, [-1.5, 2.0], [1e200, -1e200]])
+        got = model.score(linear_schedule, xs, t)
+        assert np.array_equal(got, (mean - xs) / var)
+        assert np.all(np.isfinite(got))
 
     def test_symmetric_mixture_score_vanishes_at_center(self, linear_schedule):
         model = MixtureModel(weights=[0.5, 0.5], means=[[-0.6], [0.6]], variances=[0.04, 0.04])
@@ -187,14 +210,41 @@ class TestEpsilonPrediction:
         eps = bimodal.epsilon_prediction(linear_schedule, xs, 999)
         np.testing.assert_allclose(eps, xs, atol=0.02)
 
-    def test_conditioning_restricts_to_component(self, bimodal, linear_schedule):
+    def test_conditioning_restricts_to_component(self, bimodal, skewed, linear_schedule):
         x = np.array([0.5])
         t = 300
         got = bimodal.epsilon_prediction(linear_schedule, x, t, condition=0)
         expected = bimodal.component(0).epsilon_prediction(linear_schedule, x, t)
-        np.testing.assert_allclose(got, expected, rtol=1e-14)
+        assert np.array_equal(got, expected)
         far = bimodal.epsilon_prediction(linear_schedule, x, t, condition=1)
         assert not np.allclose(got, far)
+        xs = np.random.default_rng(6).normal(size=(32, 2))
+        for label in range(skewed.num_components):
+            for t in (0, 350, 999):
+                got = skewed.epsilon_prediction(linear_schedule, xs, t, condition=label)
+                expected = skewed.component(label).epsilon_prediction(linear_schedule, xs, t)
+                assert np.array_equal(got, expected)
+
+    def test_builds_no_model_per_call(self, monkeypatch):
+        # A guided run builds the preset and its reference component, however
+        # many noise predictions its sampler asks for.
+        built = []
+        post_init = MixtureModel.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MixtureModel, "__post_init__", counting_post_init)
+        counts = {}
+        for steps in (4, 8):
+            built.clear()
+            run_experiment(ExperimentConfig(
+                mixture="skewed-2d", cfg_mode="negative_prompt", condition=0,
+                negative_condition=1, steps=steps, batch=16,
+            ))
+            counts[steps] = len(built)
+        assert counts[4] == counts[8] == 2
 
     def test_recovers_forward_noise_single_gaussian(self, linear_schedule):
         # For a one-component model with tiny variance, diffusing a sample of

@@ -225,6 +225,22 @@ class TestTrajectory:
         assert out.final.shape == (1,)
         assert all(state.shape == (1,) for _, state in out.states)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1,)])
+    def test_states_own_their_memory(self, linear_schedule, tight_gaussian, shape):
+        # Only the first state is copied; it is the one that could alias the
+        # caller's array, and no two recorded states may share memory.
+        initial = np.random.default_rng(4).standard_normal(shape)
+        out = run_sampler(
+            SamplerConfig(variant="gamma"), linear_schedule, equidistant_schedule(linear_schedule, 4),
+            make_eps_model(tight_gaussian, linear_schedule), initial,
+        )
+        first = initial.copy()
+        initial[...] = 7.0
+        assert np.array_equal(out.states[0][1], first)
+        arrays = [state for _, state in out.states] + [out.final]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
 
 class TestConvergence:
     @pytest.mark.parametrize("n", [8, 32])
