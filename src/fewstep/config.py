@@ -23,7 +23,7 @@ from .postprocess import CLIP_METHODS
 from .sampling import CLIP_TIMING, SAMPLER_VARIANTS
 from .schedules import SCHEDULE_KINDS
 
-__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "CLIP_ORDERS", "FIELDS"]
+__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "FIELDS"]
 
 CLIP_ORDERS = ("balance-first", "tanh-first")
 
@@ -95,7 +95,7 @@ class ExperimentConfig:
             (self.num_train_steps >= 3, "num_train_steps must be at least 3"),
             (0.0 < self.beta_start <= self.beta_end < 1.0, "beta range must satisfy 0 < start <= end < 1"),
             (self.importance_epsilon > 0.0, "importance_epsilon must be positive"),
-            (self.steps >= 2, "steps must be at least 2"),
+            (2 <= self.steps <= self.num_train_steps, "steps must lie in [2, num_train_steps]"),
             (0.0 <= self.theta <= 1.0, "theta must lie in [0, 1]"),
             (0.0 <= self.gamma < 1.0, "gamma must lie in [0, 1)"),
             (self.cfg_scale >= 0.0, "cfg_scale must be non-negative"),
@@ -116,10 +116,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**mapping)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_mapping(load_config_mapping(path))
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
         return self.from_mapping({**self.to_dict(), **overrides})

@@ -30,7 +30,6 @@ class ImportanceCurve:
     """Normalized inverse log-SNR slope per timestep, in ``[0, 1]`` with max exactly 1."""
 
     values: np.ndarray
-    epsilon: float
     source_schedule_id: str
 
     def __post_init__(self):
@@ -47,12 +46,6 @@ class ImportanceCurve:
     @property
     def num_steps(self) -> int:
         return int(self.values.size)
-
-    def at(self, t: int) -> float:
-        t = int(t)
-        if not 0 <= t < self.num_steps:
-            raise IndexError(f"timestep {t} outside [0, {self.num_steps - 1}]")
-        return float(self.values[t])
 
 
 def compute_importance(schedule: NoiseSchedule, epsilon: float = 1e-8) -> ImportanceCurve:
@@ -80,6 +73,5 @@ def compute_importance(schedule: NoiseSchedule, epsilon: float = 1e-8) -> Import
     inverse = 1.0 / np.maximum(np.abs(grad), epsilon)
     return ImportanceCurve(
         values=inverse / inverse.max(),
-        epsilon=epsilon,
         source_schedule_id=schedule_fingerprint(schedule),
     )

@@ -20,6 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import _EXPECTED, _accepts
 from .schedules import NoiseSchedule
 
 __all__ = ["MixtureModel", "MIXTURE_PRESETS", "mixture_preset", "mixture_from_config"]
@@ -220,8 +221,14 @@ def mixture_from_config(source: Union[str, Path, dict]) -> MixtureModel:
         raise ValueError("mixture config must list at least one component")
     try:
         weights = [c["weight"] for c in components]
-        means = [np.atleast_1d(c["mean"]) for c in components]
+        means = [c["mean"] if isinstance(c["mean"], list) else [c["mean"]] for c in components]
         variances = [c["variance"] for c in components]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mixture component entry: {exc}") from None
+    # Config files' number rule, applied before NumPy would coerce booleans and strings.
+    entries = {"weight": weights, "mean": [v for mean in means for v in mean], "variance": variances}
+    for key, values in entries.items():
+        for value in values:
+            if not _accepts(float, value):
+                raise ValueError(f"every {key} entry must be {_EXPECTED[float]}, got {value!r}")
     return MixtureModel(weights=weights, means=means, variances=variances)

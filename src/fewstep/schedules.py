@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,33 +15,31 @@ SCHEDULE_KINDS = ("linear", "scaled_linear", "cosine")
 class NoiseSchedule:
     """Forward-diffusion schedule over integer timesteps ``0 .. num_steps - 1``.
 
-    ``betas`` holds per-step variance increments, ``alphas = 1 - betas`` the
-    per-step signal retention, and ``alpha_bars`` the cumulative product
-    ``prod(alphas[: t + 1])``. All arrays are immutable after construction.
+    ``betas`` holds per-step variance increments. ``alpha_bars`` is derived
+    from them, the cumulative signal retention ``prod(1 - betas[: t + 1])``,
+    so a schedule's betas fix all of it. Both arrays are immutable.
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
     kind: str
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
-        if betas.ndim != 1 or betas.shape != alphas.shape or betas.shape != alpha_bars.shape:
-            raise ValueError("betas, alphas and alpha_bars must be 1-D arrays of equal length")
+        if betas.ndim != 1:
+            raise ValueError("betas must be a 1-D array")
         if betas.size < 2:
             raise ValueError(f"a schedule needs at least 2 timesteps, got {betas.size}")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("all betas must lie strictly inside (0, 1)")
-        if not np.array_equal(alphas, 1.0 - betas):
-            raise ValueError("alphas must equal 1 - betas exactly")
+        alpha_bars = np.cumprod(1.0 - betas)
+        # In float, a tiny first beta rounds alpha_bar to 1, a long schedule
+        # underflows it to 0, and a tiny later beta ties two neighbours.
         if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
             raise ValueError("all alpha_bars must lie strictly inside (0, 1)")
         if np.any(np.diff(alpha_bars) >= 0.0):
             raise ValueError("alpha_bars must be strictly decreasing")
-        for arr, name in ((betas, "betas"), (alphas, "alphas"), (alpha_bars, "alpha_bars")):
+        for arr, name in ((betas, "betas"), (alpha_bars, "alpha_bars")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -119,7 +117,4 @@ def build_schedule(
         profile = _cosine_alpha_bars(num_steps)
         betas = np.minimum(1.0 - profile[1:] / profile[:-1], 0.999)
 
-    alphas = 1.0 - betas
-    return NoiseSchedule(
-        betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas), kind=kind
-    )
+    return NoiseSchedule(betas=betas, kind=kind)

@@ -33,7 +33,6 @@ class TimestepSchedule:
 
     steps: np.ndarray
     provenance: tuple[str, ...]
-    theta: float | None = None
     curve: ImportanceCurve | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -135,6 +134,4 @@ def adaptive_schedule(
             steps[i] = steps[i - 1] - 1
     if steps[-1] < 0:
         raise ValueError(f"could not place {n} distinct timesteps after merging")
-    return TimestepSchedule(
-        steps=steps, provenance=tuple(provenance), theta=theta, curve=curve
-    )
+    return TimestepSchedule(steps=steps, provenance=tuple(provenance), curve=curve)

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fewstep import MIXTURE_PRESETS, ExperimentConfig, main, run_experiment
@@ -39,7 +39,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(steps=16, variant="gamma", cfg_scale=3.0)
         path = tmp_path / "config.json"
         path.write_text(cfg.to_json())
-        again = ExperimentConfig.from_file(path)
+        again = ExperimentConfig.from_mapping(load_config_mapping(path))
         assert again == cfg
         assert again.to_json() == cfg.to_json()
 
@@ -60,6 +60,7 @@ class TestExperimentConfig:
             ("gamma", 1.0),
             ("variant", "heun"),
             ("steps", 1),
+            ("steps", 2000),
             ("quantile_ceiling", 0.2),
             ("beta_start", 0.0),
             ("directions", 2),
@@ -276,9 +277,13 @@ class TestSampleCommand:
         {"weight": math.nan, "mean": [0.0], "variance": 1.0},
         {"weight": 1.0, "mean": [math.nan], "variance": 1.0},
         {"weight": 1.0, "mean": [0.0], "variance": math.inf},
-    ], ids=["nan-weight", "nan-mean", "inf-variance"])
+        {"weight": True, "mean": [0.0], "variance": 1.0},
+        {"weight": 1.0, "mean": ["0.5"], "variance": 1.0},
+        {"weight": 1.0, "mean": [0.0], "variance": "1"},
+    ], ids=["nan-weight", "nan-mean", "inf-variance", "bool-weight", "string-mean", "string-variance"])
     def test_non_finite_mixture_file_exits_one(self, component, tmp_path, capsys):
-        # json.loads reads NaN and Infinity, so the model itself rejects them.
+        # json.loads reads NaN and Infinity, and NumPy would coerce true and
+        # "0.5" to numbers, so each entry is checked as a config number is.
         path = tmp_path / "mixture.json"
         path.write_text(json.dumps({"components": [component]}))
         code, _ = run_cli("sample", "--batch", "8", "--mixture", str(path))
@@ -382,6 +387,10 @@ def reject_constant(name):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(mapping=CONFIG_MAPPINGS)
+# Rare inputs that 60 random examples can miss: a compounding scale that
+# overflows, and a one-component mixture whose only weight is NaN.
+@example(mapping={"batch": 1, "cfg_scale": 1e308, "distill_omega": 2.0})
+@example(mapping={"batch": 1, "mixture": {"components": [{"weight": math.nan, "mean": [0.0], "variance": 1.0}]}})
 def test_any_config_file_exits_zero_one_or_two(mapping):
     code, out = run_config_file(["sample"], mapping)
     if code == 0:
@@ -390,6 +399,8 @@ def test_any_config_file_exits_zero_one_or_two(mapping):
 
 @settings(max_examples=60, deadline=None)
 @given(mapping=CONFIG_MAPPINGS)
+# More inference steps than trained timesteps.
+@example(mapping={"batch": 1, "num_train_steps": 3, "steps": 8})
 def test_any_schedule_config_file_exits_zero_one_or_two(mapping):
     run_config_file(["schedule"], mapping)
 

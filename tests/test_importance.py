@@ -26,11 +26,7 @@ def schedule_from_alpha_bars(alpha_bars):
     alphas = np.empty_like(alpha_bars)
     alphas[0] = alpha_bars[0]
     alphas[1:] = alpha_bars[1:] / alpha_bars[:-1]
-    betas = 1.0 - alphas
-    alphas = 1.0 - betas
-    return NoiseSchedule(
-        betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas), kind="linear"
-    )
+    return NoiseSchedule(betas=1.0 - alphas, kind="linear")
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
@@ -44,7 +40,6 @@ def test_normalization_for_every_kind(kind):
 def test_matches_reference_recomputation(linear_schedule, default_curve):
     expected = reference_importance(linear_schedule.alpha_bars)
     assert np.allclose(default_curve.values, expected, rtol=1e-12, atol=0.0)
-    assert default_curve.at(0) == pytest.approx(expected[0], rel=1e-12)
 
 
 def test_default_schedule_peaks_mid_trajectory(default_curve):
@@ -98,12 +93,6 @@ def test_rejects_short_schedules():
 def test_rejects_bad_epsilon(linear_schedule):
     with pytest.raises(ValueError, match="epsilon"):
         compute_importance(linear_schedule, epsilon=0.0)
-
-
-def test_lookup_accessor_bounds(default_curve):
-    assert default_curve.at(int(np.argmax(default_curve.values))) == 1.0
-    with pytest.raises(IndexError):
-        default_curve.at(1000)
 
 
 def test_fingerprint_pairs_curve_with_schedule(linear_schedule, default_curve):

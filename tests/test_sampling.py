@@ -282,7 +282,6 @@ class TestGuards:
         other = build_schedule("scaled_linear", 1000, 1e-4, 0.02)
         foreign = ImportanceCurve(
             values=np.linspace(0.0, 1.0, 1000),
-            epsilon=1e-8,
             source_schedule_id=schedule_fingerprint(other),
         )
         ts = TimestepSchedule(

@@ -36,10 +36,9 @@ def test_invariants_hold_for_every_kind(kind):
     sched = build_schedule(kind, 1000, 1e-4, 0.02)
     assert sched.num_steps == 1000
     assert np.all(sched.betas > 0.0) and np.all(sched.betas < 1.0)
-    assert np.array_equal(sched.alphas, 1.0 - sched.betas)
     assert np.all(np.diff(sched.alpha_bars) < 0.0)
     assert np.all(sched.alpha_bars > 0.0) and np.all(sched.alpha_bars < 1.0)
-    assert np.array_equal(sched.alpha_bars, np.cumprod(sched.alphas))
+    assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - sched.betas).tobytes()
 
 
 def test_scaled_linear_is_square_of_linear_sqrt_grid():
@@ -137,8 +136,17 @@ def test_arrays_are_immutable(linear_schedule):
 
 
 def test_direct_construction_validates_consistency():
-    betas = np.array([0.1, 0.2])
-    with pytest.raises(ValueError, match="alphas"):
-        NoiseSchedule(betas=betas, alphas=1.0 - betas + 1e-9, alpha_bars=np.array([0.9, 0.72]), kind="linear")
+    # 1 - 1e-17 rounds to 1, so the second alpha-bar ties the first...
     with pytest.raises(ValueError, match="decreasing"):
-        NoiseSchedule(betas=betas, alphas=1.0 - betas, alpha_bars=np.array([0.72, 0.9]), kind="linear")
+        NoiseSchedule(betas=np.array([0.1, 1e-17]), kind="linear")
+    # ...and a first beta of 1e-17 leaves the first alpha-bar at exactly 1.
+    with pytest.raises(ValueError, match="strictly inside"):
+        NoiseSchedule(betas=np.array([1e-17, 0.1]), kind="linear")
+
+
+@pytest.mark.parametrize("derived", [("alphas",), ("alpha_bars",), ("alphas", "alpha_bars")])
+def test_alpha_bars_come_only_from_betas(derived):
+    betas = np.array([0.1, 0.2])
+    given = {"alphas": 1.0 - betas, "alpha_bars": np.cumprod(1.0 - betas)}
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        NoiseSchedule(betas=betas, kind="linear", **{name: given[name] for name in derived})

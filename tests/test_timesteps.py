@@ -26,7 +26,6 @@ def reference_equidistant(num_train_steps, n):
 def curve_for(schedule, values):
     return ImportanceCurve(
         values=np.asarray(values, dtype=np.float64),
-        epsilon=1e-8,
         source_schedule_id=schedule_fingerprint(schedule),
     )
 
@@ -36,7 +35,7 @@ class TestEquidistant:
         ts = equidistant_schedule(linear_schedule, 4)
         assert ts.steps.tolist() == [999, 666, 333, 0]
         assert ts.provenance == (EQUIDISTANT,) * 4
-        assert ts.theta is None and ts.curve is None
+        assert ts.curve is None
 
     def test_two_point_grid_hits_both_ends(self, linear_schedule):
         assert equidistant_schedule(linear_schedule, 2).steps.tolist() == [999, 0]
@@ -91,7 +90,6 @@ class TestAdaptive:
         uniform = equidistant_schedule(linear_schedule, 12)
         assert np.array_equal(merged.steps, uniform.steps)
         assert merged.provenance == (EQUIDISTANT,) * 12
-        assert merged.theta == 1.0
         assert merged.curve is default_curve
 
     def test_threshold_zero_selects_every_slot_by_importance(
