@@ -23,7 +23,7 @@ from .postprocess import CLIP_METHODS
 from .sampling import CLIP_TIMING, SAMPLER_VARIANTS
 from .schedules import SCHEDULE_KINDS
 
-__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "FIELDS"]
+__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "FIELDS", "load_config_mapping"]
 
 CLIP_ORDERS = ("balance-first", "tanh-first")
 

@@ -40,6 +40,8 @@ class MixtureModel:
         variances = np.asarray(self.variances, dtype=np.float64)
         if weights.ndim != 1 or variances.ndim != 1 or means.ndim != 2:
             raise ValueError("weights and variances must be 1-D, means 2-D (components, dim)")
+        if means.shape[1] < 1:
+            raise ValueError("means must have at least one dimension")
         if not weights.size == variances.size == means.shape[0]:
             raise ValueError("weights, means and variances must have one entry per component")
         if not all(np.all(np.isfinite(arr)) for arr in (weights, means, variances)):

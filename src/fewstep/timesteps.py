@@ -120,18 +120,11 @@ def adaptive_schedule(
 
     equidistant = _equidistant_steps(schedule.num_steps, n)
     candidates = _interval_argmax(curve, n)
-    steps = np.empty(n, dtype=np.int64)
-    provenance = []
-    for i in range(n):
-        if curve.values[candidates[i]] > theta:
-            steps[i] = candidates[i]
-            provenance.append(IMPORTANCE)
-        else:
-            steps[i] = equidistant[i]
-            provenance.append(EQUIDISTANT)
+    chosen = curve.values[candidates] > theta
+    steps = np.where(chosen, candidates, equidistant)
+    # Both candidates of slot i are >= n - 1 - i (n <= T), and so is each decrement: no step goes negative.
     for i in range(1, n):
         if steps[i] >= steps[i - 1]:
             steps[i] = steps[i - 1] - 1
-    if steps[-1] < 0:
-        raise ValueError(f"could not place {n} distinct timesteps after merging")
-    return TimestepSchedule(steps=steps, provenance=tuple(provenance), curve=curve)
+    provenance = tuple(IMPORTANCE if c else EQUIDISTANT for c in chosen)
+    return TimestepSchedule(steps=steps, provenance=provenance, curve=curve)

@@ -1,6 +1,7 @@
 import pytest
 
-from fewstep import build_schedule, compute_importance
+from fewstep.importance import compute_importance
+from fewstep.schedules import build_schedule
 
 
 @pytest.fixture(scope="session")

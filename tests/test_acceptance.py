@@ -12,28 +12,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fewstep import (
-    SCHEDULE_KINDS,
-    ExperimentConfig,
-    MixtureModel,
-    SamplerConfig,
-    adaptive_schedule,
-    batch_clip,
-    build_schedule,
-    compounding_scale,
-    compute_importance,
-    equidistant_schedule,
-    guide_interpolate,
-    guide_negative,
-    main,
-    mixture_preset,
-    run_experiment,
-    run_sampler,
-    saturation_fraction,
-    stream,
-    wasserstein_1d,
-    STREAM_INITIAL_NOISE,
-)
+from fewstep.cli import main, run_experiment
+from fewstep.config import ExperimentConfig
+from fewstep.guidance import compounding_scale, guide_interpolate, guide_negative
+from fewstep.importance import compute_importance
+from fewstep.metrics import saturation_fraction, wasserstein_1d
+from fewstep.mixture import MixtureModel, mixture_preset
+from fewstep.postprocess import batch_clip
+from fewstep.sampling import SamplerConfig, run_sampler
+from fewstep.schedules import SCHEDULE_KINDS, build_schedule
+from fewstep.seeding import STREAM_INITIAL_NOISE, stream
+from fewstep.timesteps import adaptive_schedule, equidistant_schedule
 
 
 @contextmanager
@@ -119,7 +108,7 @@ def test_criterion_3_analytic_score_oracle(linear_schedule):
 
 
 def test_criterion_4_noisify_preserves_marginal_variance(linear_schedule):
-    from fewstep import noisify
+    from fewstep.sampling import noisify
 
     with criterion(4, "forward/noisify compositions keep the marginal variance"):
         rng = np.random.default_rng(20260814)

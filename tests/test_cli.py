@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fewstep import MIXTURE_PRESETS, ExperimentConfig, main, run_experiment
-from fewstep.config import CHOICES, FIELDS, ConfigError, load_config_mapping
+from fewstep.cli import main, run_experiment
+from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_config_mapping
+from fewstep.mixture import MIXTURE_PRESETS
 
 
 def run_cli(*argv):
@@ -280,7 +281,9 @@ class TestSampleCommand:
         {"weight": True, "mean": [0.0], "variance": 1.0},
         {"weight": 1.0, "mean": ["0.5"], "variance": 1.0},
         {"weight": 1.0, "mean": [0.0], "variance": "1"},
-    ], ids=["nan-weight", "nan-mean", "inf-variance", "bool-weight", "string-mean", "string-variance"])
+        {"weight": 1.0, "mean": [], "variance": 1.0},
+    ], ids=["nan-weight", "nan-mean", "inf-variance", "bool-weight", "string-mean", "string-variance",
+            "empty-mean"])
     def test_non_finite_mixture_file_exits_one(self, component, tmp_path, capsys):
         # json.loads reads NaN and Infinity, and NumPy would coerce true and
         # "0.5" to numbers, so each entry is checked as a config number is.

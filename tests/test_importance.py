@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from fewstep import (
-    SCHEDULE_KINDS,
-    NoiseSchedule,
-    build_schedule,
-    compute_importance,
-    schedule_fingerprint,
-)
+from fewstep.importance import compute_importance, schedule_fingerprint
+from fewstep.schedules import SCHEDULE_KINDS, NoiseSchedule, build_schedule
 
 
 def reference_importance(alpha_bars, epsilon=1e-8):

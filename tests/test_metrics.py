@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from fewstep import (
-    MixtureModel,
+from fewstep.metrics import (
     RunReport,
+    _sorted_gap,
     mixture_moments,
-    mixture_preset,
     moments_error,
     saturation_fraction,
     sliced_wasserstein,
     wasserstein_1d,
 )
-from fewstep.metrics import _sorted_gap
+from fewstep.mixture import MixtureModel, mixture_preset
 from fewstep.seeding import STREAM_PROJECTIONS, stream
 
 # Sizes for the SciPy oracle: single points, a pair, an odd batch and a large one.

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fewstep import (
-    MIXTURE_PRESETS,
-    ExperimentConfig,
-    MixtureModel,
-    build_schedule,
-    mixture_from_config,
-    mixture_preset,
-    run_experiment,
-)
+from fewstep.cli import run_experiment
+from fewstep.config import ExperimentConfig
+from fewstep.mixture import MIXTURE_PRESETS, MixtureModel, mixture_from_config, mixture_preset
+from fewstep.schedules import build_schedule
 
 
 @pytest.fixture(scope="module")
@@ -323,5 +318,7 @@ class TestConfig:
             mixture_from_config({"components": []})
         with pytest.raises(ValueError, match="malformed"):
             mixture_from_config({"components": [{"weight": 1.0}]})
+        with pytest.raises(ValueError, match="at least one dimension"):
+            mixture_from_config({"components": [{"weight": 1.0, "mean": [], "variance": 1.0}]})
         with pytest.raises(ValueError, match="JSON object"):
             mixture_from_config([1, 2])

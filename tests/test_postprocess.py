@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fewstep import (
+from fewstep.postprocess import (
     CLIP_METHODS,
     batch_clip,
     color_balance,

@@ -1,10 +1,13 @@
+import importlib
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from fewstep import ExperimentConfig, mixture_from_config
+import fewstep
+from fewstep.config import ExperimentConfig
+from fewstep.mixture import mixture_from_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -26,3 +29,19 @@ def test_config_and_mixture_examples_load():
     config, mixture = (json.loads(block) for block in fenced("json"))
     assert ExperimentConfig.from_mapping(config).mixture == "skewed-2d"
     assert mixture_from_config(mixture).num_components == 2
+
+
+def test_overview_names_are_exported_by_their_module():
+    rows = re.findall(r"^\| `(fewstep\.\w+)` \| (.*) \|$", README, flags=re.MULTILINE)
+    assert rows
+    for module, contents in rows:
+        exported = importlib.import_module(module).__all__
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            assert name in exported, f"{module} does not export {name}"
+
+
+def test_root_exports_the_example_names_and_the_experiment_entry_points():
+    (code,) = fenced("python")
+    (imported,) = re.findall(r"^from fewstep import \((.*?)\)", code, flags=re.DOTALL | re.MULTILINE)
+    names = {name.strip() for name in imported.split(",") if name.strip()}
+    assert sorted(fewstep.__all__) == sorted(names | {"ExperimentConfig", "run_experiment"})

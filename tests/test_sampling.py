@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from fewstep import (
+from fewstep.importance import ImportanceCurve, schedule_fingerprint
+from fewstep.mixture import MixtureModel
+from fewstep.sampling import NumericalError, SamplerConfig, denoise_step, noisify, run_sampler
+from fewstep.schedules import build_schedule
+from fewstep.timesteps import (
     EQUIDISTANT,
     IMPORTANCE,
-    MixtureModel,
-    NumericalError,
-    SamplerConfig,
     TimestepSchedule,
     adaptive_schedule,
-    build_schedule,
-    denoise_step,
     equidistant_schedule,
-    noisify,
-    run_sampler,
-    schedule_fingerprint,
 )
-from fewstep.importance import ImportanceCurve
 
 
 def make_eps_model(mixture, schedule, condition=None):

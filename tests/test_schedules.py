@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewstep import SCHEDULE_KINDS, NoiseSchedule, build_schedule
+from fewstep.schedules import SCHEDULE_KINDS, NoiseSchedule, build_schedule
 
 
 def reference_alpha_bars(betas):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fewstep import (
+from fewstep.seeding import (
     STREAM_GROUND_TRUTH,
     STREAM_INITIAL_NOISE,
     STREAM_PROJECTIONS,

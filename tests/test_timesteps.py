@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewstep import (
+from fewstep.importance import ImportanceCurve, compute_importance, schedule_fingerprint
+from fewstep.schedules import build_schedule
+from fewstep.timesteps import (
     EQUIDISTANT,
     IMPORTANCE,
-    ImportanceCurve,
     TimestepSchedule,
     adaptive_schedule,
-    build_schedule,
-    compute_importance,
     equidistant_schedule,
     importance_schedule,
-    schedule_fingerprint,
 )
 
 
@@ -148,13 +146,23 @@ class TestAdaptive:
     @given(
         n=st.integers(min_value=2, max_value=64),
         theta=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        data=st.data(),
     )
-    def test_merged_schedule_invariants(self, linear_schedule, default_curve, n, theta):
+    def test_merged_schedule_invariants(self, linear_schedule, default_curve, n, theta, data):
         merged = adaptive_schedule(linear_schedule, default_curve, n, theta=theta)
         assert merged.n == n
         assert np.all(np.diff(merged.steps) < 0)
         assert 0 <= merged.steps[-1] and merged.steps[0] <= 999
         assert len(merged.provenance) == n
+        # A short schedule and an arbitrary curve: slot i never falls below
+        # n - 1 - i, so the merge always fits n distinct steps into [0, T - 1].
+        T = data.draw(st.integers(min_value=max(n, 3), max_value=64), label="num_train_steps")
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=T, max_size=T), label="values")
+        values[data.draw(st.integers(0, T - 1), label="peak")] = 1.0
+        schedule = build_schedule("linear", T, 1e-4, 0.02)
+        merged = adaptive_schedule(schedule, curve_for(schedule, values), n, theta=theta)
+        assert np.all(np.diff(merged.steps) < 0) and merged.steps[0] <= T - 1
+        assert np.all(merged.steps >= n - 1 - np.arange(n))
 
 
 class TestValidation:
