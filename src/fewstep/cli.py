@@ -114,24 +114,19 @@ def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: Noise
     """Compose oracle predictions with the configured guidance."""
     _check_label(cfg.condition, model, "--condition")
     _check_label(cfg.negative_condition, model, "--negative-condition")
+
+    def predict(x, t, label):
+        return model.epsilon_prediction(schedule, x, t, condition=label)
+
     if cfg.cfg_mode == "none":
-        def eps(x, t):
-            return model.epsilon_prediction(schedule, x, t, condition=cfg.condition)
-        return eps
+        return lambda x, t: predict(x, t, cfg.condition)
     if cfg.condition is None:
         raise ConfigError(f"cfg_mode {cfg.cfg_mode!r} needs --condition")
     if cfg.cfg_mode == "interpolate":
-        def eps(x, t):
-            cond = model.epsilon_prediction(schedule, x, t, condition=cfg.condition)
-            uncond = model.epsilon_prediction(schedule, x, t)
-            return guide_interpolate(cond, uncond, cfg.cfg_scale)
-        return eps
-
-    def eps(x, t):
-        cond = model.epsilon_prediction(schedule, x, t, condition=cfg.condition)
-        negative = model.epsilon_prediction(schedule, x, t, condition=cfg.negative_condition)
-        return guide_negative(cond, negative, cfg.cfg_scale)
-    return eps
+        combine, other = guide_interpolate, None
+    else:
+        combine, other = guide_negative, cfg.negative_condition
+    return lambda x, t: combine(predict(x, t, cfg.condition), predict(x, t, other), cfg.cfg_scale)
 
 
 def _schedule_and_curve(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve]:

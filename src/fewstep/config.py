@@ -141,7 +141,7 @@ def load_config_mapping(path: str | Path) -> dict:
         parsed = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(parsed, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -18,11 +18,8 @@ __all__ = ["ImportanceCurve", "compute_importance", "schedule_fingerprint"]
 
 
 def schedule_fingerprint(schedule: NoiseSchedule) -> str:
-    """Stable digest of a schedule's kind and beta array, used to pair derived curves."""
-    h = hashlib.sha256()
-    h.update(schedule.kind.encode())
-    h.update(schedule.betas.tobytes())
-    return h.hexdigest()[:16]
+    """Stable digest of a schedule's beta array, used to pair derived curves."""
+    return hashlib.sha256(schedule.betas.tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -170,43 +170,28 @@ def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def _bimodal_1d() -> MixtureModel:
-    return MixtureModel(
-        weights=[0.6, 0.4], means=[[-0.6], [0.6]], variances=[0.04, 0.04]
-    )
-
-
-def _grid_2d() -> MixtureModel:
-    return MixtureModel(
-        weights=[0.25] * 4,
-        means=[[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]],
-        variances=[0.01] * 4,
-    )
-
-
-def _skewed_2d() -> MixtureModel:
-    return MixtureModel(
-        weights=[0.5, 0.35, 0.15],
-        means=[[0.4, -0.4], [0.2, -0.15], [-0.55, 0.5]],
-        variances=[0.01, 0.02, 0.015],
-    )
-
-
 MIXTURE_PRESETS = {
-    "bimodal-1d": _bimodal_1d,
-    "grid-2d": _grid_2d,
-    "skewed-2d": _skewed_2d,
+    "bimodal-1d": {"components": [
+        {"weight": 0.6, "mean": [-0.6], "variance": 0.04},
+        {"weight": 0.4, "mean": [0.6], "variance": 0.04},
+    ]},
+    "grid-2d": {"components": [
+        {"weight": 0.25, "mean": mean, "variance": 0.01}
+        for mean in ([-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5])
+    ]},
+    "skewed-2d": {"components": [
+        {"weight": 0.5, "mean": [0.4, -0.4], "variance": 0.01},
+        {"weight": 0.35, "mean": [0.2, -0.15], "variance": 0.02},
+        {"weight": 0.15, "mean": [-0.55, 0.5], "variance": 0.015},
+    ]},
 }
 
 
 def mixture_preset(name: str) -> MixtureModel:
-    """Look up a built-in mixture by name."""
-    try:
-        return MIXTURE_PRESETS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown mixture preset {name!r}, expected one of {sorted(MIXTURE_PRESETS)}"
-        ) from None
+    """Build a built-in mixture by name; each preset is a mapping in the mixture-file format."""
+    if name not in MIXTURE_PRESETS:
+        raise ValueError(f"unknown mixture preset {name!r}, expected one of {sorted(MIXTURE_PRESETS)}")
+    return mixture_from_config(MIXTURE_PRESETS[name])
 
 
 def mixture_from_config(source: Union[str, Path, dict]) -> MixtureModel:

@@ -46,8 +46,8 @@ class SamplerConfig:
 
     ``clip`` is a vectorized map applied to every intermediate clean-state
     estimate (or only to the terminal one with ``clip_timing="final-only"``);
-    ``None`` disables it. :func:`fewstep.batch_clip` builds one from the same
-    kernels as the channel-tensor functions of :mod:`fewstep.postprocess`.
+    ``None`` disables it. :func:`fewstep.postprocess.batch_clip` builds one from
+    the same kernels as the channel-tensor functions of :mod:`fewstep.postprocess`.
     """
 
     variant: str = "plain"

@@ -21,7 +21,6 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    kind: str
     alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -117,4 +116,4 @@ def build_schedule(
         profile = _cosine_alpha_bars(num_steps)
         betas = np.minimum(1.0 - profile[1:] / profile[:-1], 0.999)
 
-    return NoiseSchedule(betas=betas, kind=kind)
+    return NoiseSchedule(betas=betas)

@@ -274,25 +274,27 @@ class TestSampleCommand:
         assert "numerical failure" in err
         assert failure in err
 
-    @pytest.mark.parametrize("component", [
-        {"weight": math.nan, "mean": [0.0], "variance": 1.0},
-        {"weight": 1.0, "mean": [math.nan], "variance": 1.0},
-        {"weight": 1.0, "mean": [0.0], "variance": math.inf},
-        {"weight": True, "mean": [0.0], "variance": 1.0},
-        {"weight": 1.0, "mean": ["0.5"], "variance": 1.0},
-        {"weight": 1.0, "mean": [0.0], "variance": "1"},
-        {"weight": 1.0, "mean": [], "variance": 1.0},
+    @pytest.mark.parametrize("component, phrase", [
+        ({"weight": math.nan, "mean": [0.0], "variance": 1.0}, "finite"),
+        ({"weight": 1.0, "mean": [math.nan], "variance": 1.0}, "finite"),
+        ({"weight": 1.0, "mean": [0.0], "variance": math.inf}, "finite"),
+        ({"weight": True, "mean": [0.0], "variance": 1.0}, "finite"),
+        ({"weight": 1.0, "mean": ["0.5"], "variance": 1.0}, "finite"),
+        ({"weight": 1.0, "mean": [0.0], "variance": "1"}, "finite"),
+        ({"weight": 1.0, "mean": [], "variance": 1.0}, "at least one dimension"),
     ], ids=["nan-weight", "nan-mean", "inf-variance", "bool-weight", "string-mean", "string-variance",
             "empty-mean"])
-    def test_non_finite_mixture_file_exits_one(self, component, tmp_path, capsys):
+    def test_non_finite_mixture_file_exits_one(self, component, phrase, tmp_path, capsys):
         # json.loads reads NaN and Infinity, and NumPy would coerce true and
         # "0.5" to numbers, so each entry is checked as a config number is.
         path = tmp_path / "mixture.json"
         path.write_text(json.dumps({"components": [component]}))
         code, _ = run_cli("sample", "--batch", "8", "--mixture", str(path))
         assert code == 1
+        # The phrase is looked for after the path, which holds the test's name.
+        prefix = f"error: bad mixture file {path}: "
         err = capsys.readouterr().err
-        assert err.startswith("error: bad mixture file") and "finite" in err
+        assert err.startswith(prefix) and phrase in err[len(prefix):]
 
 
 # Valid values per field, kept small: batch <= 8, steps <= 8, num_train_steps
@@ -413,6 +415,16 @@ def test_any_schedule_config_file_exits_zero_one_or_two(mapping):
 @given(mapping=CONFIG_MAPPINGS, sweep=SWEEPS)
 def test_any_compare_sweep_exits_zero_one_or_two(mapping, sweep):
     run_config_file(["compare", "--sweep", sweep], mapping)
+
+
+@pytest.mark.parametrize("argv", [["sample"], ["schedule"], ["compare", "--sweep", "theta=0,1"]],
+                         ids=["sample", "schedule", "compare"])
+def test_non_utf8_config_file_exits_one(argv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff{}")
+    code, _ = run_cli(*argv, "--config", str(path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path} is not valid JSON")
 
 
 class TestCompareCommand:

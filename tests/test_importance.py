@@ -21,7 +21,7 @@ def schedule_from_alpha_bars(alpha_bars):
     alphas = np.empty_like(alpha_bars)
     alphas[0] = alpha_bars[0]
     alphas[1:] = alpha_bars[1:] / alpha_bars[:-1]
-    return NoiseSchedule(betas=1.0 - alphas, kind="linear")
+    return NoiseSchedule(betas=1.0 - alphas)
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
@@ -92,5 +92,8 @@ def test_rejects_bad_epsilon(linear_schedule):
 
 def test_fingerprint_pairs_curve_with_schedule(linear_schedule, default_curve):
     assert default_curve.source_schedule_id == schedule_fingerprint(linear_schedule)
+    # The curve depends only on the betas, so equal betas give equal fingerprints.
+    same_betas = NoiseSchedule(betas=linear_schedule.betas.copy())
+    assert schedule_fingerprint(same_betas) == schedule_fingerprint(linear_schedule)
     other = build_schedule("linear", 1000, 1e-4, 0.021)
     assert schedule_fingerprint(other) != default_curve.source_schedule_id

@@ -7,7 +7,7 @@ import numpy as np
 
 import fewstep
 from fewstep.config import ExperimentConfig
-from fewstep.mixture import mixture_from_config
+from fewstep.mixture import MIXTURE_PRESETS, mixture_from_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -29,6 +29,11 @@ def test_config_and_mixture_examples_load():
     config, mixture = (json.loads(block) for block in fenced("json"))
     assert ExperimentConfig.from_mapping(config).mixture == "skewed-2d"
     assert mixture_from_config(mixture).num_components == 2
+
+
+def test_mixture_file_example_is_the_bimodal_preset():
+    _, mixture = (json.loads(block) for block in fenced("json"))
+    assert mixture == MIXTURE_PRESETS["bimodal-1d"]
 
 
 def test_overview_names_are_exported_by_their_module():
