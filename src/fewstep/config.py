@@ -11,7 +11,6 @@ and every value, from a flag, a file or a caller, is checked against it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -121,7 +120,7 @@ class ExperimentConfig:
         return self.from_mapping({**self.to_dict(), **overrides})
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -80,6 +80,8 @@ def saturation_fraction(x: np.ndarray, threshold: float = 0.99) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("saturation fraction of an empty array is undefined")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("saturation fraction needs finite entries")
     return float(np.mean(np.abs(x) > threshold))
 
 

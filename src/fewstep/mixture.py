@@ -8,7 +8,10 @@ a single component, the unconditional model is the full mixture.
 
 A noise prediction diffuses the selected components as plain arrays and builds
 no model. A single component, as in every conditioned prediction, has the score
-``(mu' - x) / var'``; only several components need posterior responsibilities.
+``(mu' - x) / var'``. Several components go through one kernel, shared with
+``log_density``, that lays the offsets ``mu' - x`` out component-major as
+``(K, d, batch)``: squared distances and the weighted pull are ``einsum``s and
+the log-sum-exp reduces over K, never over a short axis once per row.
 """
 
 from __future__ import annotations
@@ -87,14 +90,15 @@ class MixtureModel:
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Mixture log-density at ``x`` of shape ``(d,)`` or ``(batch, d)``."""
         x, squeeze = _as_batch(x, self.dim)
-        out = _logsumexp(self._log_densities(self.variances, self.means - x[:, None, :]))
+        _, _, total, peak = self._kernel(self.means, self.variances, x)
+        out = peak + np.log(total)
         return out[0] if squeeze else out
 
     def responsibilities(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Posterior component probabilities under the diffused mixture at ``t``."""
         x, squeeze = _as_batch(x, self.dim)
-        means, variances = self._diffused(schedule.alpha_bar_at(t))
-        r = self._posterior(variances, means - x[:, None, :])
+        _, shifted, total, _ = self._kernel(*self._diffused(schedule.alpha_bar_at(t)), x)
+        r = (shifted / total).T
         return r[0] if squeeze else r
 
     def score(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
@@ -104,28 +108,24 @@ class MixtureModel:
     def _score(self, ab: float, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         # Score at alpha-bar ``ab`` of one component's density, or of the whole mixture's.
         x, squeeze = _as_batch(x, self.dim)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("score requires finite input")
         means, variances = self._diffused(ab, rows)
-        diff = means - x[:, None, :]
-        pulls = diff / variances[:, None]
         if variances.size == 1:
-            out = pulls[:, 0]
+            out = (means[0] - x) / variances[0]
         else:
-            out = (self._posterior(variances, diff)[:, :, None] * pulls).sum(axis=1)
+            diff, shifted, total, _ = self._kernel(means, variances, x)
+            out = np.einsum("kdb,kb->bd", diff, shifted / (variances[:, None] * total), order="C")
         return out[0] if squeeze else out
 
-    def _log_densities(self, variances: np.ndarray, diff: np.ndarray) -> np.ndarray:
-        # Weighted log-densities (batch, components) of all components, from the offsets mu - x.
-        return (
-            np.log(self.weights)[None, :]
-            - 0.5 * self.dim * np.log(2.0 * np.pi * variances)[None, :]
-            - 0.5 * (diff**2).sum(axis=-1) / variances[None, :]
+    def _kernel(self, means: np.ndarray, variances: np.ndarray, x: np.ndarray) -> tuple:
+        # Offsets mu - x as (K, d, B), exp(log-density - peak) as (K, B), its sum over K and
+        # the peak, so log p = peak + log(total); a row all at -inf keeps a finite peak.
+        diff = np.subtract(means[:, :, None], x.T, order="C")
+        ll = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * variances))[:, None] - (
+            0.5 * np.einsum("kdb,kdb->kb", diff, diff) / variances[:, None]
         )
-
-    def _posterior(self, variances: np.ndarray, diff: np.ndarray) -> np.ndarray:
-        ll = self._log_densities(variances, diff)
-        return np.exp(ll - _logsumexp(ll)[:, None])
+        peak = ll.max(axis=0).clip(min=np.finfo(np.float64).min)
+        shifted = np.exp(ll - peak)
+        return diff, shifted, shifted.sum(axis=0), peak
 
     def epsilon_prediction(
         self,
@@ -153,14 +153,10 @@ class MixtureModel:
         return self.means[labels] + np.sqrt(self.variances[labels])[:, None] * noise
 
 
-def _logsumexp(ll: np.ndarray) -> np.ndarray:
-    """Row-wise ``log(sum(exp(ll)))``, shifted by each row's max; a row of ``-inf`` gives ``-inf``."""
-    peak = ll.max(axis=1).clip(min=np.finfo(np.float64).min)
-    return peak + np.log(np.exp(ll - peak[:, None]).sum(axis=1))
-
-
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the mixture oracle requires finite input")
     if x.ndim == 1:
         if x.shape[0] != dim:
             raise ValueError(f"expected vectors of dimension {dim}, got shape {x.shape}")

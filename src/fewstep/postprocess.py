@@ -41,8 +41,11 @@ def _check_quantile(q: float, ceiling: float) -> None:
 
 
 def _balance(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    out = x - alpha * x.mean(axis=-1, keepdims=True)
-    return out - beta * out.mean(axis=(-2, -1), keepdims=True)
+    # Means are matmuls with a 1/n vector, not reductions over a short axis row by row. The
+    # channel means of x - alpha * m are (1 - alpha) * m; with one channel m is the global mean.
+    m = x @ np.full(x.shape[-1], 1.0 / x.shape[-1])
+    g = m if x.shape[-2] == 1 else (m @ np.full(m.shape[-1], 1.0 / m.shape[-1]))[..., None]
+    return x - (alpha * m + beta * (1.0 - alpha) * g)[..., None]
 
 
 def _exposure(x: np.ndarray, alpha: float, beta: float, balance_first: bool) -> np.ndarray:
@@ -52,9 +55,12 @@ def _exposure(x: np.ndarray, alpha: float, beta: float, balance_first: bool) -> 
 
 
 def _quantile(x: np.ndarray, q: float, ceiling: float) -> np.ndarray:
-    # Flattened so the quantile runs on the last axis; a tuple axis is slower.
-    flat = np.abs(x).reshape(*x.shape[:-2], -1)
-    s = np.clip(np.quantile(flat, q, axis=-1, keepdims=True), 1.0, ceiling)[..., None]
+    # np.quantile's "linear" method from one sort of each flattened tensor, lerp included, bit for bit.
+    flat = np.sort(np.abs(x).reshape(*x.shape[:-2], -1), axis=-1)
+    lo, g = divmod((flat.shape[-1] - 1) * q, 1)
+    a, b = flat[..., int(lo)], flat[..., min(int(lo) + 1, flat.shape[-1] - 1)]
+    level = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+    s = np.clip(level, 1.0, ceiling)[..., None, None]
     return np.clip(x, -s, s) / s
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -47,6 +48,13 @@ class TestExperimentConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"step": 4})
+
+    def test_to_dict_is_the_dataclass_mapping(self):
+        cfg = ExperimentConfig(steps=16, cfg_mode="interpolate", condition=1, distill_omega=2.0)
+        got, want = cfg.to_dict(), dataclasses.asdict(cfg)
+        assert got == want
+        assert list(got) == list(want)
+        assert json.dumps(got) == json.dumps(want)
 
     def test_with_overrides_returns_new_config(self):
         base = ExperimentConfig()

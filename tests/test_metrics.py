@@ -190,6 +190,11 @@ class TestSaturation:
         with pytest.raises(ValueError, match="empty"):
             saturation_fraction(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            saturation_fraction(np.array([0.5, bad]))
+
 
 class TestRunReport:
     @staticmethod

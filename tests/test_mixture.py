@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from fewstep.cli import run_experiment
@@ -187,6 +190,17 @@ class TestDensityAndScore:
         with pytest.raises(ValueError, match="finite"):
             skewed.score(linear_schedule, np.array([np.nan, 0.0]), 100)
 
+    @pytest.mark.parametrize("entry", ["log_density", "responsibilities", "conditioned"])
+    def test_every_entry_point_rejects_non_finite_input(self, skewed, linear_schedule, entry):
+        call = {
+            "log_density": skewed.log_density,
+            "responsibilities": lambda x: skewed.responsibilities(linear_schedule, x, 10),
+            "conditioned": lambda x: skewed.epsilon_prediction(linear_schedule, x, 100, condition=0),
+        }[entry]
+        for x in (np.array([np.nan, 0.0]), np.array([[0.0, 0.0], [0.0, -np.inf]])):
+            with pytest.raises(ValueError, match="finite"):
+                call(x)
+
 
 class TestEpsilonPrediction:
     def test_matches_scaled_score(self, bimodal, linear_schedule):
@@ -322,3 +336,66 @@ class TestConfig:
             mixture_from_config({"components": [{"weight": 1.0, "mean": [], "variance": 1.0}]})
         with pytest.raises(ValueError, match="JSON object"):
             mixture_from_config([1, 2])
+
+
+def reference_oracle(model, ab, x):
+    # Per component and per row in Python floats, with an explicit max-shifted
+    # log-sum-exp: log-density, responsibilities and score of the mixture diffused
+    # to alpha-bar ``ab``, plus each row's largest |log-density| term and the
+    # responsibility-weighted |pull| per coordinate, which bound the rounding error.
+    log_p, resp, score, size, pull_size = [], [], [], [], []
+    for row in x.tolist():
+        lls, pulls, terms = [], [], []
+        for w, mean, var in zip(model.weights, model.means.tolist(), model.variances):
+            mean = [math.sqrt(ab) * m for m in mean]
+            var = ab * var + (1.0 - ab)
+            sq = sum((m - v) ** 2 for m, v in zip(mean, row))
+            parts = (math.log(w), 0.5 * len(row) * math.log(2.0 * math.pi * var), 0.5 * sq / var)
+            lls.append(parts[0] - parts[1] - parts[2])
+            terms.append(sum(abs(p) for p in parts))
+            pulls.append([(m - v) / var for m, v in zip(mean, row)])
+        peak = max(lls)
+        total = sum(math.exp(ll - peak) for ll in lls)
+        r = [math.exp(ll - peak) / total for ll in lls]
+        log_p.append(peak + math.log(total))
+        resp.append(r)
+        score.append([sum(rk * p[j] for rk, p in zip(r, pulls)) for j in range(len(row))])
+        size.append(max(terms))
+        pull_size.append([sum(rk * abs(p[j]) for rk, p in zip(r, pulls)) for j in range(len(row))])
+    return tuple(map(np.array, (log_p, resp, score, size, pull_size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    components=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    batch=st.integers(1, 64),
+    t=st.integers(0, 999),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_matches_a_per_component_loop(linear_schedule, components, dim, batch, t, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, components)
+    model = MixtureModel(
+        weights=raw / raw.sum(),
+        means=rng.uniform(-2.0, 2.0, (components, dim)),
+        variances=rng.uniform(1e-3, 2.0, components),
+    )
+    ab = linear_schedule.alpha_bar_at(t)
+    # Half the rows lie 10^3 diffused standard deviations beyond every mean,
+    # where every component's unshifted exp(log-density) underflows to 0.
+    x = rng.normal(scale=2.0, size=(batch, dim))
+    far = rng.normal(size=(batch // 2, dim))
+    far /= np.linalg.norm(far, axis=1, keepdims=True)
+    sigma = np.sqrt(ab * model.variances.max() + 1.0 - ab)
+    x[: batch // 2] = far * (np.sqrt(ab) * np.abs(model.means).sum(axis=1).max() + 1e3 * sigma)
+    log_p, resp, score, size, pull_size = reference_oracle(model, ab, x)
+    # rtol 1e-12 of the magnitudes summed: rounding moves a log-density by about
+    # eps * size, each responsibility by that times itself, and the score by
+    # that times the responsibility-weighted |pull|.
+    size = np.maximum(size, 1.0)[:, None]
+    assert np.all(np.abs(model._score(ab, x) - score) <= 1e-12 * size * pull_size)
+    r = model.responsibilities(linear_schedule, x, t)
+    assert np.all(np.abs(r - resp) <= 1e-12 * size)
+    diffused = model.diffused_params(linear_schedule, t)
+    assert np.all(np.abs(diffused.log_density(x) - log_p) <= 1e-12 * size[:, 0])

@@ -175,6 +175,22 @@ class TestBatchClip:
                 expected = quantile_clip(tensor, q=0.9, ceiling=5.0)
             np.testing.assert_array_equal(out[i], expected[0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        elements=st.integers(1, 32),
+        q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.just(1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quantile_threshold_is_numpys_bit_for_bit(self, elements, q, seed):
+        # The ceiling is out of reach, so each row's threshold is max(np.quantile(|row|, q), 1).
+        # Uniform rows, 64 per draw: in a few percent of them a one-sided lerp is an ulp
+        # off, and the division shows it.
+        rows = np.random.default_rng(seed).uniform(-100.0, 100.0, (64, elements))
+        out = batch_clip("quantile", q=q, ceiling=1e6)(rows)
+        for row, got in zip(rows, out):
+            s = max(np.quantile(np.abs(row), q), 1.0)
+            np.testing.assert_array_equal(got, np.clip(row, -s, s) / s)
+
     def test_rows_are_independent(self):
         clip = batch_clip("quantile", q=1.0, ceiling=10.0)
         calm = np.full((1, 4), 0.5)
