@@ -71,6 +71,13 @@ class TestMoments:
         with pytest.raises(ValueError, match="batch"):
             moments_error(np.zeros(5), model)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        samples = np.zeros((3, 2))
+        samples[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            moments_error(samples, mixture_preset("grid-2d"))
+
 
 class TestWasserstein1D:
     def test_identical_samples_have_zero_distance(self):
@@ -110,6 +117,13 @@ class TestWasserstein1D:
             wasserstein_1d([0.0], [0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="equal size"):
             wasserstein_1d(np.zeros(5), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_1d(np.zeros(4), [bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_1d([0.0, 0.0, bad, 0.0], np.zeros(4))
 
 
 class TestSlicedWasserstein:
@@ -171,6 +185,47 @@ class TestSlicedWasserstein:
             sliced_wasserstein(np.zeros((1, 2)), np.zeros((5, 2)))
         with pytest.raises(ValueError, match="equal size"):
             sliced_wasserstein(np.zeros((6, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        poisoned = np.zeros((5, 2))
+        poisoned[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sliced_wasserstein(np.zeros((5, 2)), poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            sliced_wasserstein(poisoned, np.zeros((5, 2)))
+
+    # Past 2,048 rows the 32 default directions no longer fit one block, 33
+    # leaves a remainder, and 65,537 rows reach the two-row floor of a block.
+    # A one-row block would go to BLAS gemv, which rounds 3-D and 8-D products differently.
+    @pytest.mark.parametrize(
+        "batch, dim", [(2047, 2), (2048, 2), (2049, 2), (10_000, 2), (65_537, 2), (65_537, 3), (65_537, 8)]
+    )
+    @pytest.mark.parametrize("directions", [32, 33])
+    def test_blocks_do_not_change_the_answer(self, batch, dim, directions):
+        rng = np.random.default_rng(batch + dim)
+        a = rng.normal(size=(batch, dim))
+        b = rng.normal(size=(batch, dim)) * 1.3 + 0.2
+        proj = stream(7, STREAM_PROJECTIONS).standard_normal((directions, dim))
+        proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+        whole = np.abs(np.sort(proj @ a.T) - np.sort(proj @ b.T)).mean(-1).mean()
+        assert sliced_wasserstein(a, b, directions, rng_seed=7) == whole
+
+
+def test_distances_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(12)
+    final = rng.normal(size=(3000, 2))
+    truth = rng.normal(size=(3000, 2)) + 0.5
+    flat = rng.normal(size=(2, 700))
+    # A contiguous 1-D set, whose ravel() is a view; a strided column; whole batches.
+    for distance, a, b in [
+        (wasserstein_1d, flat[0], flat[1]),
+        (wasserstein_1d, final[:, 0], truth[:, 0]),
+        (sliced_wasserstein, final, truth),
+    ]:
+        before = [x.tobytes() for x in (final, truth, flat)]
+        distance(a, b)
+        assert [x.tobytes() for x in (final, truth, flat)] == before
 
 
 class TestSaturation:
