@@ -48,6 +48,7 @@ FLAG_HELP = {
     "gamma": "re-noising proportion in [0, 1)",
     "condition": "mixture component used as the guidance condition",
     "negative_condition": "component used as the negative prediction; full mixture when absent",
+    "clip_shift": "fraction of each chain's mean removed by tanh-balance",
     "mixture": "preset name or mixture JSON path",
     "directions": "sliced-distance projection count",
 }
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="run several configs and emit a metric matrix CSV")
     _add_common_flags(p_compare)
-    p_compare.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...",
+    p_compare.add_argument("--sweep", action="append", default=None, metavar="KEY=V1,V2,...",
                            help="sweep one config field over comma-separated values")
     return parser
 
@@ -95,7 +96,7 @@ def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
     if cfg.mixture in MIXTURE_PRESETS:
         return mixture_preset(cfg.mixture)
     path = Path(cfg.mixture)
-    if path.exists():
+    if path.is_file():
         try:
             return mixture_from_config(path)
         except ValueError as exc:
@@ -166,8 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
         gamma=cfg.gamma,
         clip=batch_clip(
             cfg.clip_method,
-            alpha=cfg.clip_alpha,
-            beta=cfg.clip_beta,
+            shift=cfg.clip_shift,
             q=cfg.quantile_q,
             ceiling=cfg.quantile_ceiling,
             balance_first=cfg.clip_order == "balance-first",
@@ -318,15 +318,14 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
         args = build_parser().parse_args(argv)
         config_files = args.config or []
         if args.command == "compare":
-            labeled = []
-            if config_files:
-                for path in config_files:
-                    labeled.append((Path(path).stem, _resolve_config(args, load_config_mapping(path))))
+            labeled = [(Path(path).stem, _resolve_config(args, load_config_mapping(path))) for path in config_files]
             if args.sweep is not None:
                 base = labeled[0][1] if labeled else _resolve_config(args)
                 if len(labeled) > 1:
                     raise ConfigError("--sweep combines with at most one --config")
-                labeled = _parse_sweep(args.sweep, base)
+                if len(args.sweep) > 1:
+                    raise ConfigError(f"--sweep may be given once, got {len(args.sweep)}: {args.sweep}")
+                labeled = _parse_sweep(args.sweep[0], base)
             return cmd_compare(labeled, args.out, stdout)
 
         if len(config_files) > 1:

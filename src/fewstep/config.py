@@ -72,8 +72,7 @@ class ExperimentConfig:
     condition: Optional[int] = None
     negative_condition: Optional[int] = None
     clip_method: str = "none"
-    clip_alpha: float = 0.5
-    clip_beta: float = 0.5
+    clip_shift: float = 0.75
     clip_order: str = "balance-first"
     clip_timing: str = "every-step"
     quantile_q: float = 0.995

@@ -102,8 +102,7 @@ def quantile_clip(x: np.ndarray, q: float = 0.995, ceiling: float = 1.0) -> np.n
 
 def batch_clip(
     method: str,
-    alpha: float = 0.5,
-    beta: float = 0.5,
+    shift: float = 0.75,
     q: float = 0.995,
     ceiling: float = 1.0,
     balance_first: bool = True,
@@ -111,7 +110,8 @@ def batch_clip(
     """Vectorized per-chain clip for sampler batches, or ``None`` for ``"none"``.
 
     Each row of a ``(batch, dim)`` state array is treated as an independent
-    single-channel tensor, so means and quantiles are taken per row.
+    single-channel tensor, so means and quantiles are taken per row. tanh-balance
+    removes ``shift`` times each row's mean, the alpha + beta - alpha * beta of ``exposure_correct``.
     """
     if method not in CLIP_METHODS:
         raise ValueError(f"unknown clip method {method!r}, expected one of {CLIP_METHODS}")
@@ -122,7 +122,7 @@ def batch_clip(
     if method == "tanh-balance":
 
         def _tanh_balance(x: np.ndarray) -> np.ndarray:
-            return _exposure(x[:, None, :], alpha, beta, balance_first)[:, 0, :]
+            return _exposure(x[:, None, :], shift, 0.0, balance_first)[:, 0, :]
 
         return _tanh_balance
 

@@ -77,7 +77,7 @@ class TestExperimentConfig:
             ("seed", 1.5),
             ("batch", True),
             ("condition", "0"),
-            ("clip_alpha", math.nan),
+            ("clip_shift", math.nan),
             ("seed", -1),
         ],
     )
@@ -215,6 +215,14 @@ class TestSampleCommand:
         assert code == 1
         assert "neither a preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mixture", ["", "DIRECTORY"], ids=["empty", "directory"])
+    def test_mixture_that_is_not_a_file_exits_one(self, mixture, tmp_path, capsys):
+        # Path("") is the working directory: neither names a mixture file.
+        mixture = str(tmp_path) if mixture == "DIRECTORY" else mixture
+        code, _ = run_cli("sample", "--batch", "8", "--mixture", mixture)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: mixture {mixture!r} is neither a preset")
+
     def test_non_object_mixture_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "mixture.json"
         path.write_text("[1, 2]")
@@ -258,10 +266,11 @@ class TestSampleCommand:
         # With components at +-1e200 every squared distance overflows, so no
         # component has a finite density and the prediction is non-finite.
         (("--steps", "4", "--mixture", "FAR_COMPONENTS_FILE"), "non-finite noise prediction"),
-        # Finite but extreme clip parameters overflow the clipped state...
-        ((*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-beta", "1e308"), "non-finite state"),
+        # A finite but extreme clip shift leaves a clipped state the next
+        # oracle prediction overflows on (the shift times a tanh mean stays finite)...
+        ((*CLIP_OVERFLOW, "--clip-shift", "1e308"), "non-finite noise prediction"),
         # ...or, when only the terminal estimate is clipped, the metrics.
-        ((*CLIP_OVERFLOW, "--clip-alpha", "1e308", "--clip-timing", "final-only"), "non-finite metrics"),
+        ((*CLIP_OVERFLOW, "--clip-shift", "1e308", "--clip-timing", "final-only"), "non-finite metrics"),
         # Finite guidance knobs whose compounding scale overflows, or whose
         # mixing coefficient does once the scale is subnormal.
         (("--cfg-scale", "1e308", "--distill-omega", "8.5"), "compounding"),
@@ -322,8 +331,7 @@ VALID_VALUES = {
     "distill_omega": [0, 2.0],
     "condition": [0, 1, 5],
     "negative_condition": [0, 1],
-    "clip_alpha": [0.5, 1e308],
-    "clip_beta": [0.5, 1e308],
+    "clip_shift": [0.75, 1e308],
     "quantile_q": [0.5, 0.995],
     "quantile_ceiling": [1.0, 3.0],
     "mixture": sorted(MIXTURE_PRESETS),
@@ -435,6 +443,17 @@ def test_non_utf8_config_file_exits_one(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: config file {path} is not valid JSON")
 
 
+@pytest.mark.parametrize("argv", [["sample"], ["compare", "--sweep", "theta=0,1"]], ids=["sample", "compare"])
+@pytest.mark.parametrize("key", ["clip_alpha", "clip_beta"])
+def test_removed_balance_keys_exit_one(argv, key, tmp_path, capsys):
+    # On a one-channel row alpha and beta act only as alpha + beta - alpha * beta, so clip_shift is the one field.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: 0.5, "batch": 8}))
+    code, out = run_cli(*argv, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+
+
 class TestCompareCommand:
     def test_theta_sweep_produces_one_row_per_value(self):
         code, out = run_cli(
@@ -470,6 +489,12 @@ class TestCompareCommand:
         code, _ = run_cli("compare", "--config", str(a), "--config", str(b))
         assert code == 1
         assert "shared mixture and seed" in capsys.readouterr().err
+
+    def test_rejects_a_second_sweep(self, capsys):
+        # Until --sweep builds a grid, a second one must not silently replace the first.
+        code, out = run_cli("compare", "--batch", "8", "--sweep", "theta=0,1", "--sweep", "steps=2,4")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("error: --sweep may be given once")
 
     def test_rejects_unknown_sweep_field(self):
         code, _ = run_cli("compare", "--sweep", "omega=1,2")

@@ -52,6 +52,19 @@ class TestColorBalance:
         x = np.random.default_rng(2).normal(size=(2, 9))
         np.testing.assert_array_equal(color_balance(x, alpha=0.0, beta=0.0), x)
 
+    def test_one_channel_alpha_and_beta_act_as_one_shift(self):
+        # With one channel the global mean is the channel mean, so (a, b) removes
+        # (a + b - a * b) of it: equal in exact arithmetic, rounded in a different order.
+        # The gap is measured in ULPs of the largest entry, since x - shift cancels. Two
+        # is not a worst case: near-constant rows with a close to 1 can reach three.
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            x = rng.normal(loc=rng.normal(scale=3.0), scale=rng.uniform(0.1, 3.0), size=(1, rng.integers(1, 64)))
+            a, b = rng.uniform(0.0, 1.0, 2)
+            gap = np.abs(color_balance(x, a, b) - color_balance(x, a + b - a * b, 0.0))
+            assert gap.max() <= 2 * np.spacing(np.abs(x).max())
+            np.testing.assert_array_equal(color_balance(x, 0.5, 0.5), color_balance(x, 0.75, 0.0))
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="channels"):
             color_balance(np.zeros(5))
@@ -164,13 +177,13 @@ class TestBatchClip:
     def test_rows_match_single_channel_tensors(self, method):
         # A batch row must transform exactly like the same data presented as
         # a one-channel tensor to the scalar ops: both run the same kernels.
-        clip = batch_clip(method, alpha=0.6, beta=0.3, q=0.9, ceiling=5.0)
+        clip = batch_clip(method, shift=0.72, q=0.9, ceiling=5.0)
         batch = np.random.default_rng(10).normal(scale=2.0, size=(6, 40))
         out = clip(batch)
         for i, row in enumerate(batch):
             tensor = row[None, :]
             if method == "tanh-balance":
-                expected = exposure_correct(tensor, alpha=0.6, beta=0.3)
+                expected = exposure_correct(tensor, alpha=0.72, beta=0.0)
             else:
                 expected = quantile_clip(tensor, q=0.9, ceiling=5.0)
             np.testing.assert_array_equal(out[i], expected[0])

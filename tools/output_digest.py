@@ -1,8 +1,11 @@
-"""Print one SHA-256 over fewstep's outputs, to show that a refactor changes no byte.
+"""Print two SHA-256 digests over fewstep's outputs, to show that a refactor changes no byte.
 
-The digest covers the report JSON (minus ``wall_time``), every visited state and
-the final state of each ``sweep-512`` and ``bulk-65536`` benchmark config at seeds
-0 and 1, and the stdout of three fixed ``schedule`` and ``compare`` calls.
+Both cover the report JSON (minus ``wall_time``), every visited state and the
+final state of each ``sweep-512`` and ``bulk-65536`` benchmark config at seeds
+0 and 1, and the stdout of three fixed ``schedule`` and ``compare`` calls. The
+first line hashes each report whole. The second, ``numbers``, leaves out each
+report's ``config_echo``, so it stays equal across a change that renames, adds
+or removes config keys but moves no number.
 
 Usage, from the repository root, before and after a change:
 
@@ -30,19 +33,29 @@ ARGVS = (
      "--negative-condition", "1", "--batch", "64", "--sweep", "theta=0,0.7,1"],
 )
 
-digest = hashlib.sha256()
+full, numbers = hashlib.sha256(), hashlib.sha256()
+
+
+def update(data: bytes) -> None:
+    full.update(data)
+    numbers.update(data)
+
+
 for workload in ("sweep-512", "bulk-65536"):
     for seed in (0, 1):
         for cfg in WORKLOADS[workload](seed):
             report, trajectory = run_experiment(cfg)
             fields = json.loads(report.to_json())
             del fields["wall_time"]
-            digest.update(json.dumps(fields, sort_keys=True).encode())
+            full.update(json.dumps(fields, sort_keys=True).encode())
+            del fields["config_echo"]
+            numbers.update(json.dumps(fields, sort_keys=True).encode())
             for t, state in [*trajectory.states, (-1, trajectory.final)]:
-                digest.update(str(t).encode() + state.tobytes())
+                update(str(t).encode() + state.tobytes())
 for argv in ARGVS:
     out = io.StringIO()
     if main(argv, stdout=out) != 0:
         sys.exit(f"fewstep {' '.join(argv)} failed")
-    digest.update(out.getvalue().encode())
-print(digest.hexdigest())
+    update(out.getvalue().encode())
+print(full.hexdigest())
+print(numbers.hexdigest(), "numbers")
