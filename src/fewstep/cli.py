@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -47,8 +48,10 @@ FLAG_HELP = {
     "theta": "adaptive selection threshold in [0, 1]",
     "gamma": "re-noising proportion in [0, 1)",
     "condition": "mixture component used as the guidance condition",
-    "negative_condition": "component used as the negative prediction; full mixture when absent",
+    "negative_condition": "negative_prompt guidance's negative component; full mixture when absent",
     "clip_shift": "fraction of each chain's mean removed by tanh-balance",
+    "quantile_q": "quantile of |x| the quantile clip thresholds at; inert at the default ceiling of 1",
+    "quantile_ceiling": "threshold cap of the quantile clip, whose floor is 1: the default 1 makes it clip(x, -1, 1)",
     "mixture": "preset name or mixture JSON path",
     "directions": "sliced-distance projection count",
 }
@@ -83,13 +86,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run several configs and emit a metric matrix CSV")
     _add_common_flags(p_compare)
     p_compare.add_argument("--sweep", action="append", default=None, metavar="KEY=V1,V2,...",
-                           help="sweep one config field over comma-separated values")
+                           help="sweep one config field over comma-separated values; "
+                                "several --sweep flags run every combination")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, file_mapping: Optional[dict] = None) -> ExperimentConfig:
+def _json_or_text(raw: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]]:
+    """Cross each --config file (or the flags alone) with every combination of the --sweep values.
+
+    Files vary slowest, then the sweeps in flag order. A swept value beats a flag, and a flag beats the
+    file. A label joins the swept parts with commas, after the file stem when there are several files or no sweep.
+    """
     flags = {name: value for name, value in vars(args).items() if name in FIELDS and value is not None}
-    return ExperimentConfig.from_mapping({**(file_mapping or {}), **flags})
+    files = [(Path(path).stem, load_config_mapping(path)) for path in args.config or []] or [("", {})]
+    sweeps = {}
+    for text in getattr(args, "sweep", None) or []:
+        key, _, values = text.partition("=")
+        key = key.strip()
+        if not values or key not in FIELDS or key in sweeps:
+            raise ConfigError(f"--sweep expects FIELD=V1,V2,... with a known field swept once, got {text!r}")
+        sweeps[key] = [(f"{key}={raw}", _json_or_text(raw)) for raw in map(str.strip, values.split(","))]
+    named = len(files) > 1 or not sweeps
+    runs = []
+    for (stem, mapping), combo in itertools.product(files, itertools.product(*sweeps.values())):
+        label = ",".join(([stem] if named else []) + [part for part, _ in combo])
+        swept = dict(zip(sweeps, (value for _, value in combo)))
+        runs.append((label, ExperimentConfig.from_mapping({**mapping, **flags, **swept})))
+    return runs
 
 
 def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
@@ -121,8 +151,6 @@ def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: Noise
 
     if cfg.cfg_mode == "none":
         return lambda x, t: predict(x, t, cfg.condition)
-    if cfg.condition is None:
-        raise ConfigError(f"cfg_mode {cfg.cfg_mode!r} needs --condition")
     if cfg.cfg_mode == "interpolate":
         combine, other = guide_interpolate, None
     else:
@@ -138,16 +166,6 @@ def _schedule_and_curve(cfg: ExperimentConfig) -> tuple[NoiseSchedule, Importanc
     except ValueError as exc:
         raise ConfigError(f"bad noise schedule: {exc}") from None
     return schedule, curve
-
-
-def _timestep_schedules(
-    cfg: ExperimentConfig, schedule: NoiseSchedule, curve: ImportanceCurve
-) -> dict[str, TimestepSchedule]:
-    return {
-        "equidistant": equidistant_schedule(schedule, cfg.steps),
-        "importance": importance_schedule(curve, cfg.steps),
-        "adaptive": adaptive_schedule(schedule, curve, cfg.steps, cfg.theta),
-    }
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
@@ -206,13 +224,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     return report, trajectory
 
 
-def _write_text(path: Optional[str], text: str, stdout) -> None:
+def _write_text(flag: str, path: Optional[str], text: str, stdout) -> None:
     if path is None:
         stdout.write(text)
-    else:
-        target = Path(path)
+        return
+    target = Path(path)
+    try:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -239,18 +260,17 @@ def _schedules_csv(named: dict[str, TimestepSchedule], curve: ImportanceCurve) -
 
 def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
     schedule, curve = _schedule_and_curve(cfg)
-    named = _timestep_schedules(cfg, schedule, curve)
-    curve_text = _curve_csv(schedule, curve)
-    table_text = _schedules_csv(named, curve)
+    named = {
+        "equidistant": equidistant_schedule(schedule, cfg.steps),
+        "importance": importance_schedule(curve, cfg.steps),
+        "adaptive": adaptive_schedule(schedule, curve, cfg.steps, cfg.theta),
+    }
+    tables = {"curve.csv": _curve_csv(schedule, curve), "schedules.csv": _schedules_csv(named, curve)}
     if out is None:
-        stdout.write(curve_text)
-        stdout.write("\n")
-        stdout.write(table_text)
+        _write_text("--out", None, "\n".join(tables.values()), stdout)
     else:
-        directory = Path(out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "curve.csv").write_text(curve_text)
-        (directory / "schedules.csv").write_text(table_text)
+        for name, text in tables.items():
+            _write_text("--out", str(Path(out) / name), text, stdout)
     return 0
 
 
@@ -266,31 +286,15 @@ def _trajectory_csv(trajectory, dim: int) -> str:
 
 def cmd_sample(cfg: ExperimentConfig, out: Optional[str], trajectory_out: Optional[str], stdout) -> int:
     report, trajectory = run_experiment(cfg)
-    _write_text(out, report.to_json(), stdout)
+    _write_text("--out", out, report.to_json(), stdout)
     if trajectory_out is not None:
-        _write_text(trajectory_out, _trajectory_csv(trajectory, trajectory.final.shape[1]), stdout)
+        _write_text("--trajectory-out", trajectory_out, _trajectory_csv(trajectory, trajectory.final.shape[1]), stdout)
     return 0
 
 
 # After the label, each compare row holds these config fields, then these report fields.
 COMPARE_CONFIG_COLUMNS = ("steps", "theta", "variant", "gamma", "cfg_mode", "cfg_scale", "clip_method")
 COMPARE_REPORT_COLUMNS = ("mean_error", "cov_error", "wasserstein1", "saturation_fraction", "step_count")
-
-
-def _parse_sweep(sweep: str, base: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
-    key, _, values = sweep.partition("=")
-    key = key.strip()
-    if not values or key not in FIELDS:
-        raise ConfigError(f"--sweep expects FIELD=V1,V2,... with a known field, got {sweep!r}")
-    out = []
-    for raw in values.split(","):
-        raw = raw.strip()
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        out.append((f"{key}={raw}", base.with_overrides({key: value})))
-    return out
 
 
 def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str], stdout) -> int:
@@ -308,7 +312,7 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
         rows.append([label, *(getattr(cfg, name) for name in COMPARE_CONFIG_COLUMNS),
                      *(getattr(report, name) for name in COMPARE_REPORT_COLUMNS)])
     header = ("label", *COMPARE_CONFIG_COLUMNS, *COMPARE_REPORT_COLUMNS)
-    _write_text(out, _csv_text(header, rows), stdout)
+    _write_text("--out", out, _csv_text(header, rows), stdout)
     return 0
 
 
@@ -316,22 +320,12 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     try:
         args = build_parser().parse_args(argv)
-        config_files = args.config or []
+        runs = _resolve_runs(args)
         if args.command == "compare":
-            labeled = [(Path(path).stem, _resolve_config(args, load_config_mapping(path))) for path in config_files]
-            if args.sweep is not None:
-                base = labeled[0][1] if labeled else _resolve_config(args)
-                if len(labeled) > 1:
-                    raise ConfigError("--sweep combines with at most one --config")
-                if len(args.sweep) > 1:
-                    raise ConfigError(f"--sweep may be given once, got {len(args.sweep)}: {args.sweep}")
-                labeled = _parse_sweep(args.sweep[0], base)
-            return cmd_compare(labeled, args.out, stdout)
-
-        if len(config_files) > 1:
+            return cmd_compare(runs, args.out, stdout)
+        if len(runs) > 1:
             raise ConfigError(f"{args.command} accepts a single --config file")
-        mapping = load_config_mapping(config_files[0]) if config_files else None
-        cfg = _resolve_config(args, mapping)
+        ((_, cfg),) = runs
         if args.command == "schedule":
             return cmd_schedule(cfg, args.out, stdout)
         return cmd_sample(cfg, args.out, args.trajectory_out, stdout)

@@ -98,6 +98,9 @@ class ExperimentConfig:
             (0.0 <= self.gamma < 1.0, "gamma must lie in [0, 1)"),
             (self.cfg_scale >= 0.0, "cfg_scale must be non-negative"),
             (self.distill_omega is None or self.distill_omega >= 0.0, "distill_omega must be non-negative"),
+            (self.cfg_mode == "none" or self.condition is not None, f"cfg_mode {self.cfg_mode!r} needs --condition"),
+            (self.negative_condition is None or self.cfg_mode == "negative_prompt",
+             "negative_condition needs cfg_mode 'negative_prompt'"),
             (0.0 < self.quantile_q <= 1.0, "quantile_q must lie in (0, 1]"),
             (self.quantile_ceiling >= 1.0, "quantile_ceiling must be at least 1"),
             (self.batch >= 1, "batch must be at least 1"),
@@ -114,9 +117,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**mapping)
-
-    def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        return self.from_mapping({**self.to_dict(), **overrides})
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FIELDS}

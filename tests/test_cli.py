@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fewstep.cli
 from fewstep.cli import main, run_experiment
 from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_config_mapping
 from fewstep.mixture import MIXTURE_PRESETS
@@ -56,12 +58,6 @@ class TestExperimentConfig:
         assert list(got) == list(want)
         assert json.dumps(got) == json.dumps(want)
 
-    def test_with_overrides_returns_new_config(self):
-        base = ExperimentConfig()
-        other = base.with_overrides({"steps": 4})
-        assert other.steps == 4
-        assert base.steps == 8
-
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -84,6 +80,18 @@ class TestExperimentConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"cfg_mode": "interpolate"}, "cfg_mode 'interpolate' needs --condition"),
+        ({"cfg_mode": "negative_prompt"}, "cfg_mode 'negative_prompt' needs --condition"),
+        ({"negative_condition": 2}, "negative_condition needs cfg_mode 'negative_prompt'"),
+        ({"cfg_mode": "interpolate", "condition": 0, "negative_condition": 1},
+         "negative_condition needs cfg_mode 'negative_prompt'"),
+    ], ids=["interpolate-unconditioned", "negative-unconditioned", "negative-unguided", "negative-interpolated"])
+    def test_guidance_fields_are_checked_together(self, fields, message):
+        # Guidance needs a condition, and only negative-prompt guidance reads a negative condition.
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**fields)
 
     def test_load_rejects_bad_files(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -137,6 +145,18 @@ class TestScheduleCommand:
         code, _ = run_cli("schedule", "--num-train-steps", "16", "--steps", "32")
         assert code == 1
 
+    def test_guidance_rules_apply_to_schedule_too(self, capsys):
+        code, out = run_cli("schedule", "--cfg-mode", "none", "--negative-condition", "2")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: negative_condition needs cfg_mode 'negative_prompt'\n"
+
+    def test_out_that_is_a_file_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "f.txt"
+        target.write_text("")
+        code, out = run_cli("schedule", "--steps", "4", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: --out {target / 'curve.csv'}: ")
+
     def test_underflowing_schedule_exits_one(self, capsys):
         # alpha_bar underflows to 0 long before timestep 5000 at this beta range.
         code, _ = run_cli("sample", "--beta-end", "0.5", "--num-train-steps", "5000")
@@ -176,6 +196,12 @@ class TestSampleCommand:
         assert len(rows) == 5 * 8
         assert [r[1] for r in rows[:8]] == ["999"] * 8
         assert all(r[1] == "-1" for r in rows[-8:])
+
+    @pytest.mark.parametrize("flag", ["--out", "--trajectory-out"])
+    def test_output_path_that_is_a_directory_exits_one(self, flag, tmp_path, capsys):
+        code, _ = run_cli("sample", "--batch", "8", "--steps", "2", flag, str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path}: ")
 
     def test_flags_override_config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -428,9 +454,9 @@ def test_any_schedule_config_file_exits_zero_one_or_two(mapping):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(mapping=CONFIG_MAPPINGS, sweep=SWEEPS)
-def test_any_compare_sweep_exits_zero_one_or_two(mapping, sweep):
-    run_config_file(["compare", "--sweep", sweep], mapping)
+@given(mapping=CONFIG_MAPPINGS, sweeps=st.lists(SWEEPS, min_size=1, max_size=2))
+def test_any_compare_sweep_exits_zero_one_or_two(mapping, sweeps):
+    run_config_file(["compare", *(arg for sweep in sweeps for arg in ("--sweep", sweep))], mapping)
 
 
 @pytest.mark.parametrize("argv", [["sample"], ["schedule"], ["compare", "--sweep", "theta=0,1"]],
@@ -490,11 +516,61 @@ class TestCompareCommand:
         assert code == 1
         assert "shared mixture and seed" in capsys.readouterr().err
 
-    def test_rejects_a_second_sweep(self, capsys):
-        # Until --sweep builds a grid, a second one must not silently replace the first.
-        code, out = run_cli("compare", "--batch", "8", "--sweep", "theta=0,1", "--sweep", "steps=2,4")
+    def test_sweeps_run_every_combination_in_flag_order(self):
+        code, out = run_cli(
+            "compare", "--batch", "8", "--sweep", "steps=2,4",
+            "--sweep", "clip_method=none,tanh-balance,quantile", "--sweep", "theta=1,0.7",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        grid = list(itertools.product(["2", "4"], ["none", "tanh-balance", "quantile"], ["1", "0.7"]))
+        assert len(rows) == 12
+        assert [r[0] for r in rows] == [f"steps={s},clip_method={c},theta={t}" for s, c, t in grid]
+        columns = [header.index(name) for name in ("steps", "clip_method", "theta")]
+        assert [tuple(r[i] for i in columns) for r in rows] == grid
+
+    def test_a_sweep_beats_a_flag_and_a_flag_beats_the_file(self, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"steps": 6, "theta": 0.3, "gamma": 0.1, "batch": 8}))
+        code, out = run_cli("compare", "--config", str(path), "--steps", "4", "--theta", "0.5",
+                            "--sweep", "theta=0,1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["theta=0", "theta=1"]
+        for name, want in (("steps", ["4", "4"]), ("theta", ["0", "1"]), ("gamma", ["0.1", "0.1"])):
+            assert [r[header.index(name)] for r in rows] == want
+
+    def test_only_resolved_runs_are_validated(self, tmp_path):
+        # The file's theta is out of range, but every run sweeps it to a valid one.
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"theta": 5, "steps": 2, "batch": 8}))
+        code, out = run_cli("compare", "--config", str(path), "--sweep", "theta=0,1")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 2
+
+    def test_several_files_times_a_sweep_prefix_each_label_with_the_stem(self, tmp_path):
+        for name, steps in (("a", 2), ("b", 4)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"steps": steps, "batch": 8}))
+        code, out = run_cli("compare", "--config", str(tmp_path / "a.json"), "--config", str(tmp_path / "b.json"),
+                            "--sweep", "theta=0,1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["a,theta=0", "a,theta=1", "b,theta=0", "b,theta=1"]
+        assert [r[header.index("steps")] for r in rows] == ["2", "2", "4", "4"]
+
+    def test_a_field_swept_twice_exits_one(self, capsys):
+        code, out = run_cli("compare", "--batch", "8", "--sweep", "theta=0,1", "--sweep", "steps=2,4",
+                            "--sweep", "theta=0.5")
         assert (code, out) == (1, "")
-        assert capsys.readouterr().err.startswith("error: --sweep may be given once")
+        assert capsys.readouterr().err.startswith("error: --sweep expects FIELD=V1,V2,... with a known field swept once")
+
+    def test_a_grid_with_a_bad_combination_fails_before_any_run(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        code, out = run_cli("compare", "--batch", "8", "--condition", "0", "--negative-condition", "1",
+                            "--sweep", "cfg_mode=negative_prompt,interpolate")
+        assert (code, out, calls) == (1, "", [])
+        assert "negative_condition needs cfg_mode 'negative_prompt'" in capsys.readouterr().err
 
     def test_rejects_unknown_sweep_field(self):
         code, _ = run_cli("compare", "--sweep", "omega=1,2")

@@ -193,16 +193,20 @@ class TestBatchClip:
         elements=st.integers(1, 32),
         q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.just(1.0),
         seed=st.integers(0, 2**32 - 1),
+        ceiling=st.sampled_from([1e6, 1.0]),
     )
-    def test_quantile_threshold_is_numpys_bit_for_bit(self, elements, q, seed):
-        # The ceiling is out of reach, so each row's threshold is max(np.quantile(|row|, q), 1).
-        # Uniform rows, 64 per draw: in a few percent of them a one-sided lerp is an ulp
-        # off, and the division shows it.
+    def test_quantile_threshold_is_numpys_bit_for_bit(self, elements, q, seed, ceiling):
+        # Each row's threshold is np.quantile(|row|, q) clamped to [1, ceiling]. At 1e6 the
+        # ceiling is out of reach. Uniform rows, 64 per draw: in a few percent of them a
+        # one-sided lerp is an ulp off, and the division shows it.
         rows = np.random.default_rng(seed).uniform(-100.0, 100.0, (64, elements))
-        out = batch_clip("quantile", q=q, ceiling=1e6)(rows)
+        out = batch_clip("quantile", q=q, ceiling=ceiling)(rows)
         for row, got in zip(rows, out):
-            s = max(np.quantile(np.abs(row), q), 1.0)
+            s = min(max(np.quantile(np.abs(row), q), 1.0), ceiling)
             np.testing.assert_array_equal(got, np.clip(row, -s, s) / s)
+        if ceiling == 1.0:
+            # The default ceiling fixes the threshold at 1, so q has no effect.
+            np.testing.assert_array_equal(out, np.clip(rows, -1.0, 1.0))
 
     def test_rows_are_independent(self):
         clip = batch_clip("quantile", q=1.0, ceiling=10.0)

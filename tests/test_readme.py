@@ -1,11 +1,15 @@
+import csv
 import importlib
+import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
 import fewstep
+from fewstep.cli import main
 from fewstep.config import ExperimentConfig
 from fewstep.mixture import MIXTURE_PRESETS, mixture_from_config
 
@@ -50,3 +54,19 @@ def test_root_exports_the_example_names_and_the_experiment_entry_points():
     (imported,) = re.findall(r"^from fewstep import \((.*?)\)", code, flags=re.DOTALL | re.MULTILINE)
     names = {name.strip() for name in imported.split(",") if name.strip()}
     assert sorted(fewstep.__all__) == sorted(names | {"ExperimentConfig", "run_experiment"})
+
+
+def test_criterion_6_grid_matches_its_table():
+    (command,) = [block for block in fenced("sh") if "--sweep theta=1,0.7" in block]
+    argv = shlex.split(command.replace("\\\n", " "))
+    assert argv[:2] == ["fewstep", "compare"]
+    out = io.StringIO()
+    assert main(argv[1:], stdout=out) == 0
+    got = {row["label"]: f"{float(row['wasserstein1']):.3f}" for row in csv.DictReader(io.StringIO(out.getvalue()))}
+    table = re.findall(r"^\| ([\d.]+) \| (\w+) \| ([\d.]+) \| ([\d.]+) \|$", README, flags=re.MULTILINE)
+    assert len(table) == 4
+    want = {}
+    for theta, variant, *distances in table:
+        for clip, distance in zip(("none", "tanh-balance"), distances):
+            want[f"theta={theta},variant={variant},clip_method={clip}"] = distance
+    assert got == want
