@@ -27,7 +27,7 @@ from .postprocess import batch_clip
 from .sampling import NumericalError, SampleTrajectory, SamplerConfig, run_sampler
 from .schedules import NoiseSchedule, build_schedule
 from .seeding import STREAM_GROUND_TRUTH, STREAM_INITIAL_NOISE, stream
-from .timesteps import TimestepSchedule, adaptive_schedule, equidistant_schedule, importance_schedule
+from .timesteps import TimestepSchedule, adaptive_schedule
 
 __all__ = ["main", "run_experiment"]
 
@@ -49,7 +49,8 @@ FLAG_HELP = {
     "gamma": "re-noising proportion in [0, 1)",
     "condition": "mixture component used as the guidance condition",
     "negative_condition": "negative_prompt guidance's negative component; full mixture when absent",
-    "clip_shift": "fraction of each chain's mean removed by tanh-balance",
+    "clip_method": "tanh-balance is tanh(balance(x)), balance-tanh is balance(tanh(x))",
+    "clip_shift": "fraction of each chain's mean removed by tanh-balance and balance-tanh",
     "quantile_q": "quantile of |x| the quantile clip thresholds at; inert at the default ceiling of 1",
     "quantile_ceiling": "threshold cap of the quantile clip, whose floor is 1: the default 1 makes it clip(x, -1, 1)",
     "mixture": "preset name or mixture JSON path",
@@ -102,10 +103,13 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
     """Cross each --config file (or the flags alone) with every combination of the --sweep values.
 
     Files vary slowest, then the sweeps in flag order. A swept value beats a flag, and a flag beats the
-    file. A label joins the swept parts with commas, after the file stem when there are several files or no sweep.
+    file. A label joins the swept parts with commas, after the file stem when there are several files or no sweep;
+    files that share a stem are named by their path as given.
     """
     flags = {name: value for name, value in vars(args).items() if name in FIELDS and value is not None}
-    files = [(Path(path).stem, load_config_mapping(path)) for path in args.config or []] or [("", {})]
+    stems = [Path(path).stem for path in args.config or []]
+    files = [(path if stems.count(stem) > 1 else stem, load_config_mapping(path))
+             for path, stem in zip(args.config or [], stems)] or [("", {})]
     sweeps = {}
     for text in getattr(args, "sweep", None) or []:
         key, _, values = text.partition("=")
@@ -183,13 +187,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     sampler_config = SamplerConfig(
         variant=cfg.variant,
         gamma=cfg.gamma,
-        clip=batch_clip(
-            cfg.clip_method,
-            shift=cfg.clip_shift,
-            q=cfg.quantile_q,
-            ceiling=cfg.quantile_ceiling,
-            balance_first=cfg.clip_order == "balance-first",
-        ),
+        clip=batch_clip(cfg.clip_method, shift=cfg.clip_shift, q=cfg.quantile_q, ceiling=cfg.quantile_ceiling),
         clip_timing=cfg.clip_timing,
         rng_seed=cfg.seed,
     )
@@ -260,10 +258,10 @@ def _schedules_csv(named: dict[str, TimestepSchedule], curve: ImportanceCurve) -
 
 def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
     schedule, curve = _schedule_and_curve(cfg)
+    # theta = 1 and theta = 0 give the two pure selections.
     named = {
-        "equidistant": equidistant_schedule(schedule, cfg.steps),
-        "importance": importance_schedule(curve, cfg.steps),
-        "adaptive": adaptive_schedule(schedule, curve, cfg.steps, cfg.theta),
+        name: adaptive_schedule(schedule, curve, cfg.steps, theta)
+        for name, theta in (("equidistant", 1.0), ("importance", 0.0), ("adaptive", cfg.theta))
     }
     tables = {"curve.csv": _curve_csv(schedule, curve), "schedules.csv": _schedules_csv(named, curve)}
     if out is None:

@@ -24,15 +24,12 @@ from .schedules import SCHEDULE_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "FIELDS", "load_config_mapping"]
 
-CLIP_ORDERS = ("balance-first", "tanh-first")
-
 # Allowed values of the enumerated fields, owned by the modules that act on them.
 CHOICES = {
     "schedule_kind": SCHEDULE_KINDS,
     "variant": SAMPLER_VARIANTS,
     "cfg_mode": GUIDANCE_MODES,
     "clip_method": CLIP_METHODS,
-    "clip_order": CLIP_ORDERS,
     "clip_timing": CLIP_TIMING,
 }
 
@@ -73,7 +70,6 @@ class ExperimentConfig:
     negative_condition: Optional[int] = None
     clip_method: str = "none"
     clip_shift: float = 0.75
-    clip_order: str = "balance-first"
     clip_timing: str = "every-step"
     quantile_q: float = 0.995
     quantile_ceiling: float = 1.0

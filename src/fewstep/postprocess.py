@@ -21,7 +21,7 @@ __all__ = [
     "batch_clip",
 ]
 
-CLIP_METHODS = ("none", "tanh-balance", "tanh-only", "quantile")
+CLIP_METHODS = ("none", "tanh-balance", "balance-tanh", "quantile")
 
 
 def _validate(x: np.ndarray) -> np.ndarray:
@@ -48,10 +48,11 @@ def _balance(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return x - (alpha * m + beta * (1.0 - alpha) * g)[..., None]
 
 
-def _exposure(x: np.ndarray, alpha: float, beta: float, balance_first: bool) -> np.ndarray:
-    if balance_first:
-        return np.tanh(_balance(x, alpha, beta))
-    return _balance(np.tanh(x), alpha, beta)
+# Each exposure clip is named as the composition it computes, outermost first.
+_EXPOSURE = {
+    "tanh-balance": lambda x, alpha, beta: np.tanh(_balance(x, alpha, beta)),
+    "balance-tanh": lambda x, alpha, beta: _balance(np.tanh(x), alpha, beta),
+}
 
 
 def _quantile(x: np.ndarray, q: float, ceiling: float) -> np.ndarray:
@@ -85,9 +86,9 @@ def exposure_correct(
 
     Balancing first keeps more values inside the tanh's linear regime, so that
     is the default; ``balance_first=False`` applies the squashing before the
-    balancing for ablations, at the cost of re-introducing a nonzero mean.
+    balancing for ablations, at the cost of an output that may leave (-1, 1).
     """
-    return _exposure(_validate(x), alpha, beta, balance_first)
+    return _EXPOSURE["tanh-balance" if balance_first else "balance-tanh"](_validate(x), alpha, beta)
 
 
 def quantile_clip(x: np.ndarray, q: float = 0.995, ceiling: float = 1.0) -> np.ndarray:
@@ -101,30 +102,28 @@ def quantile_clip(x: np.ndarray, q: float = 0.995, ceiling: float = 1.0) -> np.n
 
 
 def batch_clip(
-    method: str,
-    shift: float = 0.75,
-    q: float = 0.995,
-    ceiling: float = 1.0,
-    balance_first: bool = True,
+    method: str, shift: float = 0.75, q: float = 0.995, ceiling: float = 1.0
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Vectorized per-chain clip for sampler batches, or ``None`` for ``"none"``.
 
     Each row of a ``(batch, dim)`` state array is treated as an independent
-    single-channel tensor, so means and quantiles are taken per row. tanh-balance
-    removes ``shift`` times each row's mean, the alpha + beta - alpha * beta of ``exposure_correct``.
+    single-channel tensor, so means and quantiles are taken per row.
+    ``"tanh-balance"`` is tanh(balance(x)) and ``"balance-tanh"`` is
+    balance(tanh(x)); balance removes ``shift`` times each row's mean, the
+    alpha + beta - alpha * beta of ``exposure_correct``, so at ``shift=0`` both
+    are ``np.tanh``. ``"quantile"`` is :func:`quantile_clip` per row.
     """
     if method not in CLIP_METHODS:
         raise ValueError(f"unknown clip method {method!r}, expected one of {CLIP_METHODS}")
     if method == "none":
         return None
-    if method == "tanh-only":
-        return np.tanh
-    if method == "tanh-balance":
+    if method in _EXPOSURE:
+        exposure = _EXPOSURE[method]
 
-        def _tanh_balance(x: np.ndarray) -> np.ndarray:
-            return _exposure(x[:, None, :], shift, 0.0, balance_first)[:, 0, :]
+        def _exposure_rows(x: np.ndarray) -> np.ndarray:
+            return exposure(x[:, None, :], shift, 0.0)[:, 0, :]
 
-        return _tanh_balance
+        return _exposure_rows
 
     _check_quantile(q, ceiling)
 

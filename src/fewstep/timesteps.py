@@ -1,4 +1,4 @@
-"""Inference timestep selection: equidistant, importance-argmax, and adaptive merging."""
+"""Inference timestep selection: equidistant, and an adaptive merge of importance argmax and equidistant slots."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "IMPORTANCE",
     "TimestepSchedule",
     "equidistant_schedule",
-    "importance_schedule",
     "adaptive_schedule",
 ]
 
@@ -86,14 +85,6 @@ def equidistant_schedule(schedule: NoiseSchedule, n: int) -> TimestepSchedule:
     return TimestepSchedule(steps=steps, provenance=(EQUIDISTANT,) * n)
 
 
-def importance_schedule(curve: ImportanceCurve, n: int) -> TimestepSchedule:
-    """Per-interval importance argmax timesteps, one per contiguous interval."""
-    _check_n(n, curve.num_steps)
-    return TimestepSchedule(
-        steps=_interval_argmax(curve, n), provenance=(IMPORTANCE,) * n, curve=curve
-    )
-
-
 def adaptive_schedule(
     schedule: NoiseSchedule, curve: ImportanceCurve, n: int, theta: float = 0.7
 ) -> TimestepSchedule:
@@ -102,7 +93,8 @@ def adaptive_schedule(
     Slot ``i`` takes its interval's importance argmax when the importance at
     that candidate exceeds ``theta``, and the equidistant candidate otherwise.
     ``theta = 1`` therefore reproduces the equidistant schedule exactly, while
-    ``theta = 0`` selects every slot by importance. Collisions after the merge
+    ``theta = 0`` selects every slot by importance, since every importance is
+    positive: these are the two pure selections. Collisions after the merge
     are resolved by decrementing the later (smaller) timestep, which preserves
     the high-noise anchor.
 

@@ -164,7 +164,7 @@ class TestScheduleCommand:
         assert "error: bad noise schedule" in capsys.readouterr().err
 
 
-CLIP_OVERFLOW = ("--mixture", "grid-2d", "--clip-method", "tanh-balance", "--clip-order", "tanh-first")
+CLIP_OVERFLOW = ("--mixture", "grid-2d", "--clip-method", "balance-tanh")
 
 
 class TestSampleCommand:
@@ -470,14 +470,42 @@ def test_non_utf8_config_file_exits_one(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["sample"], ["compare", "--sweep", "theta=0,1"]], ids=["sample", "compare"])
-@pytest.mark.parametrize("key", ["clip_alpha", "clip_beta"])
+@pytest.mark.parametrize("key", ["clip_alpha", "clip_beta", "clip_order"])
 def test_removed_balance_keys_exit_one(argv, key, tmp_path, capsys):
-    # On a one-channel row alpha and beta act only as alpha + beta - alpha * beta, so clip_shift is the one field.
+    # On a one-channel row alpha and beta act only as alpha + beta - alpha * beta, so clip_shift is the one
+    # field; the clip's order is part of clip_method (tanh-balance or balance-tanh).
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: 0.5, "batch": 8}))
     code, out = run_cli(*argv, "--config", str(path))
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+
+
+@pytest.mark.parametrize("flags", [["--clip-method", "tanh-only"], ["--clip-order", "tanh-first"]],
+                         ids=["tanh-only", "clip-order"])
+def test_removed_clip_settings_exit_one(flags, capsys):
+    # tanh-only is tanh-balance at --clip-shift 0, and --clip-order tanh-first is --clip-method balance-tanh.
+    code, out = run_cli("sample", "--batch", "8", *flags)
+    assert (code, out) == (1, "")
+    assert "\nerror: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "schedule"])
+def test_two_config_files_exit_one(command, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"batch": 8}))
+    code, out = run_cli(command, "--config", str(path), "--config", str(path))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {command} accepts a single --config file\n"
+
+
+def test_broken_stdout_exits_one(capsys):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    assert main(["schedule", "--steps", "4"], stdout=BrokenPipe()) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestCompareCommand:
@@ -557,6 +585,17 @@ class TestCompareCommand:
         header, rows = parse_csv(out)
         assert [r[0] for r in rows] == ["a,theta=0", "a,theta=1", "b,theta=0", "b,theta=1"]
         assert [r[header.index("steps")] for r in rows] == ["2", "2", "4", "4"]
+
+    def test_files_that_share_a_stem_are_labelled_by_path(self, tmp_path):
+        paths = [tmp_path / "d1" / "c.json", tmp_path / "d2" / "c.json", tmp_path / "d3" / "other.json"]
+        for path, steps in zip(paths, (2, 4, 2)):
+            path.parent.mkdir()
+            path.write_text(json.dumps({"steps": steps, "batch": 8}))
+        code, out = run_cli("compare", *(arg for path in paths for arg in ("--config", str(path))))
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [str(paths[0]), str(paths[1]), "other"]
+        assert [r[header.index("steps")] for r in rows] == ["2", "4", "2"]
 
     def test_a_field_swept_twice_exits_one(self, capsys):
         code, out = run_cli("compare", "--batch", "8", "--sweep", "theta=0,1", "--sweep", "steps=2,4",

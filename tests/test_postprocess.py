@@ -168,10 +168,14 @@ class TestBatchClip:
         with pytest.raises(ValueError, match="clip method"):
             batch_clip("hard")
 
-    def test_tanh_only_is_plain_squash(self):
-        clip = batch_clip("tanh-only")
-        x = np.random.default_rng(9).normal(size=(5, 8))
-        np.testing.assert_array_equal(clip(x), np.tanh(x))
+    @pytest.mark.parametrize("method", ["tanh-balance", "balance-tanh"])
+    def test_zero_shift_is_plain_squash(self, method):
+        # With nothing to remove, both compositions reduce to tanh, bit for bit.
+        clip = batch_clip(method, shift=0.0)
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            x = rng.normal(scale=rng.uniform(0.1, 10.0), size=tuple(rng.integers(1, 17, size=2)))
+            np.testing.assert_array_equal(clip(x), np.tanh(x))
 
     @pytest.mark.parametrize("method", ["tanh-balance", "quantile"])
     def test_rows_match_single_channel_tensors(self, method):
@@ -216,17 +220,18 @@ class TestBatchClip:
         np.testing.assert_array_equal(together[0], clip(calm)[0])
         np.testing.assert_array_equal(together[1], clip(loud)[0])
 
-    def test_balance_order_flag_is_forwarded(self):
+    def test_balance_tanh_squashes_before_balancing(self):
         x = np.random.default_rng(11).normal(loc=1.5, size=(3, 30))
-        first = batch_clip("tanh-balance", balance_first=True)(x)
-        after = batch_clip("tanh-balance", balance_first=False)(x)
+        first = batch_clip("tanh-balance")(x)
+        after = batch_clip("balance-tanh")(x)
         assert not np.array_equal(first, after)
         row = x[1][None, :]
-        np.testing.assert_array_equal(after[1], exposure_correct(row, balance_first=False)[0])
+        np.testing.assert_array_equal(first[1], exposure_correct(row, alpha=0.75, beta=0.0)[0])
+        np.testing.assert_array_equal(after[1], exposure_correct(row, alpha=0.75, beta=0.0, balance_first=False)[0])
 
     def test_quantile_parameter_validation(self):
         with pytest.raises(ValueError, match="quantile"):
             batch_clip("quantile", q=2.0)
 
     def test_method_list_is_exhaustive(self):
-        assert set(CLIP_METHODS) == {"none", "tanh-balance", "tanh-only", "quantile"}
+        assert set(CLIP_METHODS) == {"none", "tanh-balance", "balance-tanh", "quantile"}

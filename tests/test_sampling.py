@@ -311,6 +311,16 @@ class TestGuards:
                 np.zeros((1, 1)),
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_state_raises(self, linear_schedule):
+        # A finite prediction this large overflows the clean estimate, so the state check is what fires.
+        ts = equidistant_schedule(linear_schedule, 4)
+        with pytest.raises(NumericalError, match="non-finite state after the step from timestep 999"):
+            run_sampler(
+                SamplerConfig(variant="plain"), linear_schedule, ts, lambda x, t: np.full_like(x, 1e308),
+                np.zeros((1, 1)),
+            )
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="variant"):
             SamplerConfig(variant="euler")

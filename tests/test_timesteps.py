@@ -11,7 +11,6 @@ from fewstep.timesteps import (
     TimestepSchedule,
     adaptive_schedule,
     equidistant_schedule,
-    importance_schedule,
 )
 
 
@@ -19,6 +18,16 @@ def reference_equidistant(num_train_steps, n):
     # Independent spacing rule: real positions rounded half to even.
     span = num_train_steps - 1
     return [round(span - i * span / (n - 1)) for i in range(n)]
+
+
+def reference_argmax(curve, n):
+    # Slot i takes the first maximum of the (n - 1 - i)-th of n contiguous intervals.
+    T = curve.values.size
+    picks = []
+    for j in reversed(range(n)):
+        block = curve.values[(j * T) // n:((j + 1) * T) // n]
+        picks.append((j * T) // n + int(np.flatnonzero(block == block.max())[0]))
+    return picks
 
 
 def curve_for(schedule, values):
@@ -55,29 +64,26 @@ class TestEquidistant:
 
 
 class TestImportanceSelection:
-    def test_picks_one_argmax_per_interval(self, default_curve):
-        ts = importance_schedule(default_curve, 4)
-        expected = []
-        for j in (3, 2, 1, 0):
-            lo, hi = (j * 1000) // 4, ((j + 1) * 1000) // 4
-            block = default_curve.values[lo:hi]
-            expected.append(lo + int(np.flatnonzero(block == block.max())[0]))
-        assert ts.steps.tolist() == expected
+    """theta = 0 takes every importance candidate, since every importance is positive."""
+
+    def test_picks_one_argmax_per_interval(self, linear_schedule, default_curve):
+        ts = adaptive_schedule(linear_schedule, default_curve, 4, theta=0.0)
+        assert ts.steps.tolist() == reference_argmax(default_curve, 4)
         assert ts.provenance == (IMPORTANCE,) * 4
         assert ts.curve is default_curve
 
-    def test_global_peak_is_always_selected(self, default_curve):
+    def test_global_peak_is_always_selected(self, linear_schedule, default_curve):
         peak = int(np.argmax(default_curve.values))
         for n in (2, 4, 8, 16):
-            assert peak in importance_schedule(default_curve, n).steps
+            assert peak in adaptive_schedule(linear_schedule, default_curve, n, theta=0.0).steps
 
     def test_ties_break_to_lowest_index(self, linear_schedule):
         schedule = build_schedule("linear", 4, 0.01, 0.02)
         curve = curve_for(schedule, [1.0, 1.0, 0.3, 0.2])
-        assert importance_schedule(curve, 2).steps.tolist() == [2, 0]
+        assert adaptive_schedule(schedule, curve, 2, theta=0.0).steps.tolist() == [2, 0]
 
     def test_steps_cluster_where_curve_is_high(self, linear_schedule, default_curve):
-        chosen = importance_schedule(default_curve, 8).steps
+        chosen = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.0).steps
         uniform = equidistant_schedule(linear_schedule, 8).steps
         assert default_curve.values[chosen].mean() > default_curve.values[uniform].mean()
 
@@ -94,8 +100,7 @@ class TestAdaptive:
         self, linear_schedule, default_curve
     ):
         merged = adaptive_schedule(linear_schedule, default_curve, 12, theta=0.0)
-        picked = importance_schedule(default_curve, 12)
-        assert np.array_equal(merged.steps, picked.steps)
+        assert merged.steps.tolist() == reference_argmax(default_curve, 12)
         assert merged.provenance == (IMPORTANCE,) * 12
 
     def test_default_threshold_mixes_sources(self, linear_schedule, default_curve):

@@ -2,11 +2,11 @@
 
 Both cover the report JSON (minus ``wall_time``), every visited state and the
 final state of each ``sweep-512`` and ``bulk-65536`` benchmark config at seeds
-0 and 1, and the stdout of four fixed ``schedule`` and ``compare`` calls; the
-last one crosses two ``--sweep`` flags. The first line hashes each report
-whole. The second, ``numbers``, leaves out each report's ``config_echo``, so it
-stays equal across a change that renames, adds or removes config keys but
-moves no number.
+0 and 1, and the stdout of five fixed ``schedule`` and ``compare`` calls; one
+crosses two ``--sweep`` flags, and the last runs both exposure clip orders.
+The first line hashes each report whole. The second, ``numbers``, leaves out
+each report's ``config_echo``, so it stays equal across a change that renames,
+adds or removes config keys but moves no number.
 
 Usage, from the repository root, before and after a change:
 
@@ -35,6 +35,9 @@ ARGVS = (
     ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
      "--negative-condition", "1", "--batch", "64", "--sweep", "clip_method=none,tanh-balance,quantile",
      "--sweep", "theta=1,0.7"],
+    ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
+     "--negative-condition", "1", "--batch", "64", "--clip-shift", "0.5",
+     "--sweep", "clip_method=tanh-balance,balance-tanh"],
 )
 
 full, numbers = hashlib.sha256(), hashlib.sha256()
