@@ -11,14 +11,13 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_config_mapping
+from .config import CHOICES, FIELDS, ConfigError, ExperimentConfig, _parse_json, load_config_mapping
 from .guidance import compounding_scale, guide_interpolate, guide_negative
 from .importance import ImportanceCurve, compute_importance
 from .metrics import RunReport, moments_error, saturation_fraction, sliced_wasserstein, wasserstein_1d
@@ -94,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _json_or_text(raw: str):
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
+        return _parse_json(raw)
+    except ValueError:
         return raw
 
 
@@ -333,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # MemoryError: arrays the configured sizes ask for do not fit
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,10 @@ CHOICES = {
 
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
+# Cap on batch, directions and num_train_steps. A run near it needs terabytes; under it, NumPy refuses an array
+# too large to allocate with a MemoryError, which the CLI reports, not with a ValueError on the shape.
+_MAX_SIZE = 2**40
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -86,7 +90,7 @@ class ExperimentConfig:
             if name in CHOICES and value not in CHOICES[name]:
                 raise ConfigError(f"{name} must be one of {CHOICES[name]}")
         checks = (
-            (self.num_train_steps >= 3, "num_train_steps must be at least 3"),
+            (3 <= self.num_train_steps <= _MAX_SIZE, f"num_train_steps must lie in [3, {_MAX_SIZE}]"),
             (0.0 < self.beta_start <= self.beta_end < 1.0, "beta range must satisfy 0 < start <= end < 1"),
             (self.importance_epsilon > 0.0, "importance_epsilon must be positive"),
             (2 <= self.steps <= self.num_train_steps, "steps must lie in [2, num_train_steps]"),
@@ -99,9 +103,9 @@ class ExperimentConfig:
              "negative_condition needs cfg_mode 'negative_prompt'"),
             (0.0 < self.quantile_q <= 1.0, "quantile_q must lie in (0, 1]"),
             (self.quantile_ceiling >= 1.0, "quantile_ceiling must be at least 1"),
-            (self.batch >= 1, "batch must be at least 1"),
+            (1 <= self.batch <= _MAX_SIZE, f"batch must lie in [1, {_MAX_SIZE}]"),
             (self.seed >= 0, "seed must be non-negative"),
-            (self.directions >= 8, "directions must be at least 8"),
+            (8 <= self.directions <= _MAX_SIZE, f"directions must lie in [8, {_MAX_SIZE}]"),
         )
         for ok, message in checks:
             if not ok:
@@ -128,14 +132,22 @@ FIELDS = {
 }
 
 
+def _parse_json(text: str):
+    """``json.loads``, reporting nesting too deep for the parser as malformed JSON (a ``ValueError``)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def load_config_mapping(path: str | Path) -> dict:
     """Parse a JSON config file into a plain mapping, without validation."""
     path = Path(path)
     try:
-        parsed = json.loads(path.read_text())
+        parsed = _parse_json(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+    except ValueError as exc:  # JSONDecodeError, too deep nesting, or UnicodeDecodeError on non-UTF-8 bytes
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(parsed, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

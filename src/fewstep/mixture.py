@@ -16,14 +16,13 @@ the log-sum-exp reduces over K, never over a short axis once per row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .config import _EXPECTED, _accepts
+from .config import _EXPECTED, _accepts, _parse_json
 from .schedules import NoiseSchedule
 
 __all__ = ["MixtureModel", "MIXTURE_PRESETS", "mixture_preset", "mixture_from_config"]
@@ -196,7 +195,7 @@ def mixture_from_config(source: Union[str, Path, dict]) -> MixtureModel:
     Expected shape: ``{"components": [{"weight": w, "mean": [...], "variance": v}, ...]}``.
     """
     if isinstance(source, (str, Path)):
-        source = json.loads(Path(source).read_text())
+        source = _parse_json(Path(source).read_text())
     if not isinstance(source, dict):
         raise ValueError(f"mixture config must be a JSON object, got {type(source).__name__}")
     components = source.get("components")

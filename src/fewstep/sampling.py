@@ -78,7 +78,7 @@ class SampleTrajectory:
     final: np.ndarray
 
 
-def _denoise(
+def denoise_step(
     eps_model,
     schedule: NoiseSchedule,
     x: np.ndarray,
@@ -86,6 +86,21 @@ def _denoise(
     t_to: Optional[int],
     clip: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
+    """Deterministic solver step from ``t_from`` down to ``t_to``.
+
+    Forms the clean-state estimate ``x0_hat = (x - sqrt(1 - ab_from) * eps) / sqrt(ab_from)``, maps it
+    through ``clip`` if one is given, and re-attaches the same noise with ``schedule.forward_diffuse``.
+    ``t_to=None`` targets the data axis and returns ``x0_hat`` itself; ``t_to == t_from`` is the
+    identity and calls neither the model nor the clip.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t_from = schedule._check_t(t_from)
+    if t_to is not None:
+        t_to = schedule._check_t(t_to)
+        if t_to == t_from:
+            return x
+        if t_to > t_from:
+            raise ValueError(f"denoise must move down in time, got {t_from} -> {t_to}")
     eps = np.asarray(eps_model(x, t_from), dtype=np.float64)
     if eps.shape != x.shape:
         raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
@@ -95,37 +110,10 @@ def _denoise(
     x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
     if clip is not None:
         x0_hat = clip(x0_hat)
-    x = x0_hat
-    if t_to is not None:
-        ab_to = schedule.alpha_bar_at(t_to)
-        x = np.sqrt(ab_to) * x0_hat + np.sqrt(1.0 - ab_to) * eps
+    x = x0_hat if t_to is None else schedule.forward_diffuse(x0_hat, t_to, eps)
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"non-finite state after the step from timestep {t_from}")
     return x
-
-
-def denoise_step(
-    eps_model,
-    schedule: NoiseSchedule,
-    x: np.ndarray,
-    t_from: int,
-    t_to: Optional[int],
-) -> np.ndarray:
-    """Deterministic solver step from ``t_from`` down to ``t_to``.
-
-    Forms the clean-state estimate ``(x - sqrt(1 - ab_from) * eps) / sqrt(ab_from)``
-    and re-attaches the same predicted noise at the target level. ``t_to=None``
-    targets the data axis and returns the clean-state estimate itself;
-    ``t_to == t_from`` is the identity.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if t_to is not None:
-        t_to = schedule._check_t(t_to)
-        if t_to == t_from:
-            return x
-        if t_to > t_from:
-            raise ValueError(f"denoise must move down in time, got {t_from} -> {t_to}")
-    return _denoise(eps_model, schedule, x, schedule._check_t(t_from), t_to)
 
 
 def noisify(
@@ -216,10 +204,10 @@ def run_sampler(
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
-        x = _denoise(eps_model, schedule, x, t_prev, mid, step_clip)
+        x = denoise_step(eps_model, schedule, x, t_prev, mid, step_clip)
         if mid != t_anchor:
             states.append(record(mid, x))
             x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
         states.append(record(t_anchor, x))
-    final = _denoise(eps_model, schedule, x, int(steps[-1]), None, config.clip)
+    final = denoise_step(eps_model, schedule, x, int(steps[-1]), None, config.clip)
     return SampleTrajectory(states=states, final=final[0] if squeeze else final)

@@ -469,6 +469,49 @@ def test_non_utf8_config_file_exits_one(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: config file {path} is not valid JSON")
 
 
+@pytest.mark.parametrize("site", ["config", "mixture", "sweep"])
+def test_deeply_nested_json_exits_one(site, tmp_path, capsys):
+    # Nesting this deep makes json.loads raise RecursionError, not a JSONDecodeError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    argv = {
+        "config": ["sample", "--config", str(path)],
+        "mixture": ["sample", "--mixture", str(path)],
+        "sweep": ["compare", "--sweep", "theta=" + "[" * 20_000 + ",1"],
+    }[site]
+    code, out = run_cli(*argv)
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if site != "sweep":  # a swept value that is not JSON is read as text, which theta rejects
+        assert err.endswith("JSON nested too deeply to parse\n")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sample", "--batch", str(10**15)], "batch"),
+    (["schedule", "--num-train-steps", str(10**15)], "num_train_steps"),
+    (["sample", "--batch", str(10**22)], "batch"),
+    (["sample", "--mixture", "grid-2d", "--directions", str(10**21)], "directions"),
+], ids=["batch", "num-train-steps", "batch-beyond-int64", "directions-beyond-int64"])
+def test_impossible_sizes_exit_one(argv, field, capsys):
+    # NumPy refuses each of these without allocating: a MemoryError below about 2**60 values, a ValueError
+    # above. The config caps the field before either.
+    code, out = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith(f"error: {field} must lie in [")
+
+
+def test_state_too_large_to_allocate_exits_one(tmp_path, capsys):
+    # A 1,000-dimensional mixture at the largest batch asks for 2**40 * 1,000 values (8 PiB), which no
+    # allocator grants, so the failure is NumPy's MemoryError and not a config check.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"components": [{"weight": 1.0, "mean": [0.0] * 1000, "variance": 1.0}]}))
+    code, out = run_cli("sample", "--batch", str(2**40), "--mixture", str(path))
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["sample"], ["compare", "--sweep", "theta=0,1"]], ids=["sample", "compare"])
 @pytest.mark.parametrize("key", ["clip_alpha", "clip_beta", "clip_order"])
 def test_removed_balance_keys_exit_one(argv, key, tmp_path, capsys):

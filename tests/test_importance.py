@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fewstep.importance import compute_importance, schedule_fingerprint
+from fewstep.importance import ImportanceCurve, compute_importance, schedule_fingerprint
 from fewstep.schedules import SCHEDULE_KINDS, NoiseSchedule, build_schedule
 
 
@@ -88,6 +88,17 @@ def test_rejects_short_schedules():
 def test_rejects_bad_epsilon(linear_schedule):
     with pytest.raises(ValueError, match="epsilon"):
         compute_importance(linear_schedule, epsilon=0.0)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 0.5], "length >= 3"),
+    ([[1.0, 0.5, 0.2]], "length >= 3"),
+    ([1.0, 0.5, -0.1], r"lie in \[0, 1\]"),
+    ([0.9, 0.5, 0.2], "maximum of exactly 1"),
+], ids=["short", "two-dimensional", "negative", "peak-below-one"])
+def test_curve_constructor_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        ImportanceCurve(values=values, source_schedule_id="0" * 16)
 
 
 def test_fingerprint_pairs_curve_with_schedule(linear_schedule, default_curve):

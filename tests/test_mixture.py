@@ -76,6 +76,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             MixtureModel(**params)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"weights": [[1.0]]}, "1-D"),
+        ({"means": [[[0.0]]]}, "2-D"),
+        ({"weights": [1.5, -0.5], "means": [[0.0], [1.0]], "variances": [1.0, 1.0]}, r"\(0, 1\]"),
+    ], ids=["2d-weights", "3d-means", "weight-above-one"])
+    def test_rejects_malformed_parameters(self, params, message):
+        # The pair sums to 1, so only the range check can reject the 1.5 weight.
+        with pytest.raises(ValueError, match=message):
+            MixtureModel(**{"weights": [1.0], "means": [[0.0]], "variances": [1.0], **params})
+
     def test_rejects_ragged_component_counts(self):
         with pytest.raises(ValueError, match="per component"):
             MixtureModel(weights=[0.5, 0.5], means=[[0.0]], variances=[1.0, 1.0])
@@ -185,6 +195,10 @@ class TestDensityAndScore:
     def test_rejects_wrong_dimension(self, skewed, linear_schedule):
         with pytest.raises(ValueError, match="dimension|shape"):
             skewed.score(linear_schedule, np.zeros(3), 100)
+
+    def test_rejects_three_dimensional_input(self, skewed, linear_schedule):
+        with pytest.raises(ValueError, match=r"expected shape \(batch, 2\)"):
+            skewed.score(linear_schedule, np.zeros((1, 1, 2)), 100)
 
     def test_rejects_non_finite_input(self, skewed, linear_schedule):
         with pytest.raises(ValueError, match="finite"):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fewstep.guidance import guide_negative
 from fewstep.importance import ImportanceCurve, schedule_fingerprint
-from fewstep.mixture import MixtureModel
+from fewstep.mixture import MixtureModel, mixture_preset
+from fewstep.postprocess import batch_clip
 from fewstep.sampling import NumericalError, SamplerConfig, denoise_step, noisify, run_sampler
 from fewstep.schedules import build_schedule
+from fewstep.seeding import STREAM_RENOISE, stream
 from fewstep.timesteps import (
     EQUIDISTANT,
     IMPORTANCE,
@@ -106,6 +109,57 @@ class TestNoisify:
         ab2 = linear_schedule.alpha_bar_at(t2)
         assert x_t2.mean() == pytest.approx(np.sqrt(ab2) * x0, abs=4.0 / np.sqrt(count))
         assert x_t2.var() == pytest.approx(1.0 - ab2, rel=0.02)
+
+
+class TestLoopIsTheDocumentedSteps:
+    """``run_sampler`` is a loop of ``denoise_step`` and ``noisify``, and nothing else."""
+
+    @staticmethod
+    def reference_loop(config, schedule, timesteps, eps_model, initial):
+        rng = stream(config.rng_seed, STREAM_RENOISE)
+        step_clip = config.clip if config.clip_timing == "every-step" else None
+        steps = [int(t) for t in timesteps.steps]
+        x, visits = initial, [(steps[0], initial)]
+        for slot in range(1, timesteps.n):
+            anchor = steps[slot]
+            if config.variant == "plain":
+                target = anchor
+            elif config.variant == "gamma_i" and timesteps.provenance[slot] == IMPORTANCE:
+                target = round(timesteps.curve.values[anchor] * anchor)
+            else:
+                target = round((1.0 - config.gamma) * anchor)
+            x = denoise_step(eps_model, schedule, x, steps[slot - 1], target, step_clip)
+            if target != anchor:
+                visits.append((target, x))
+                x = noisify(schedule, x, target, anchor, rng.standard_normal(x.shape))
+            visits.append((anchor, x))
+        return visits, denoise_step(eps_model, schedule, x, steps[-1], None, config.clip)
+
+    @pytest.mark.parametrize("clip_timing", ["every-step", "final-only"])
+    @pytest.mark.parametrize("clip_method", ["none", "tanh-balance", "quantile"])
+    @pytest.mark.parametrize("variant", ["plain", "gamma", "gamma_i"])
+    def test_run_sampler_matches_the_hand_written_loop(
+        self, linear_schedule, default_curve, variant, clip_method, clip_timing
+    ):
+        # Guided skewed-2d pushes x0-hat past the clip range, so every clip acts.
+        mixture = mixture_preset("skewed-2d")
+
+        def eps_model(x, t):
+            cond = mixture.epsilon_prediction(linear_schedule, x, t, condition=0)
+            return guide_negative(cond, mixture.epsilon_prediction(linear_schedule, x, t, condition=1), 7.5)
+
+        timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
+        assert IMPORTANCE in timesteps.provenance
+        config = SamplerConfig(
+            variant=variant, clip=batch_clip(clip_method), clip_timing=clip_timing, rng_seed=3
+        )
+        initial = np.random.default_rng(11).standard_normal((64, 2))
+        out = run_sampler(config, linear_schedule, timesteps, eps_model, initial)
+        visits, final = self.reference_loop(config, linear_schedule, timesteps, eps_model, initial)
+        assert [t for t, _ in out.states] == [t for t, _ in visits]
+        for (_, got), (_, want) in zip(out.states, visits):
+            assert got.tobytes() == want.tobytes()
+        assert out.final.tobytes() == final.tobytes()
 
 
 class TestVariantDegeneration:

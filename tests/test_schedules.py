@@ -143,6 +143,17 @@ def test_direct_construction_validates_consistency():
         NoiseSchedule(betas=np.array([1e-17, 0.1]))
 
 
+@pytest.mark.parametrize("betas, message", [
+    ([[0.1, 0.2]], "1-D"),
+    ([0.1], "at least 2 timesteps"),
+    ([0.1, 1.0], "strictly inside"),
+    ([0.0, 0.1], "strictly inside"),
+], ids=["two-dimensional", "single-step", "beta-one", "beta-zero"])
+def test_direct_construction_rejects_bad_betas(betas, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseSchedule(betas=np.array(betas))
+
+
 @pytest.mark.parametrize("derived", [("alphas",), ("alpha_bars",), ("alphas", "alpha_bars"), ("kind",)])
 def test_alpha_bars_come_only_from_betas(derived):
     betas = np.array([0.1, 0.2])

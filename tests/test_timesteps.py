@@ -175,6 +175,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="strictly decreasing"):
             TimestepSchedule(steps=[5, 5, 0], provenance=(EQUIDISTANT,) * 3)
 
+    def test_rejects_fewer_than_two_steps(self):
+        for steps in ([5], [[5, 0]]):
+            with pytest.raises(ValueError, match="at least 2 entries"):
+                TimestepSchedule(steps=steps, provenance=(EQUIDISTANT,) * 2)
+
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError, match="non-negative"):
             TimestepSchedule(steps=[5, 2, -1], provenance=(EQUIDISTANT,) * 3)

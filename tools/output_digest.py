@@ -2,8 +2,9 @@
 
 Both cover the report JSON (minus ``wall_time``), every visited state and the
 final state of each ``sweep-512`` and ``bulk-65536`` benchmark config at seeds
-0 and 1, and the stdout of five fixed ``schedule`` and ``compare`` calls; one
-crosses two ``--sweep`` flags, and the last runs both exposure clip orders.
+0 and 1, and the stdout of six fixed ``schedule`` and ``compare`` calls; one
+crosses two ``--sweep`` flags, one runs both exposure clip orders, and the last
+runs two clips at both clip timings.
 The first line hashes each report whole. The second, ``numbers``, leaves out
 each report's ``config_echo``, so it stays equal across a change that renames,
 adds or removes config keys but moves no number.
@@ -38,6 +39,9 @@ ARGVS = (
     ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
      "--negative-condition", "1", "--batch", "64", "--clip-shift", "0.5",
      "--sweep", "clip_method=tanh-balance,balance-tanh"],
+    ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
+     "--negative-condition", "1", "--batch", "64", "--variant", "gamma_i",
+     "--sweep", "clip_method=tanh-balance,quantile", "--sweep", "clip_timing=every-step,final-only"],
 )
 
 full, numbers = hashlib.sha256(), hashlib.sha256()
