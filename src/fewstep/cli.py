@@ -17,7 +17,9 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import CHOICES, FIELDS, ConfigError, ExperimentConfig, _parse_json, load_config_mapping
+import numpy as np
+
+from .config import _MAX_SIZE, CHOICES, FIELDS, ConfigError, ExperimentConfig, _parse_json, load_config_mapping
 from .guidance import compounding_scale, guide_interpolate, guide_negative
 from .importance import ImportanceCurve, compute_importance
 from .metrics import RunReport, moments_error, saturation_fraction, sliced_wasserstein, wasserstein_1d
@@ -180,6 +182,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     """
     start = time.perf_counter()
     model = _resolve_mixture(cfg)
+    if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
+        raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
     schedule, curve = _schedule_and_curve(cfg)
     timesteps = adaptive_schedule(schedule, curve, cfg.steps, cfg.theta)
     eps_model = _build_eps_model(cfg, model, schedule)
@@ -215,7 +219,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
         cov_error=cov_error,
         wasserstein1=w1,
         saturation_fraction=saturation_fraction(trajectory.final),
-        step_count=cfg.steps,
         wall_time=time.perf_counter() - start,
     )
     return report, trajectory
@@ -282,6 +285,8 @@ def _trajectory_csv(trajectory, dim: int) -> str:
 
 
 def cmd_sample(cfg: ExperimentConfig, out: Optional[str], trajectory_out: Optional[str], stdout) -> int:
+    if out is not None and trajectory_out is not None and Path(out).resolve() == Path(trajectory_out).resolve():
+        raise ConfigError(f"--out {out} and --trajectory-out {trajectory_out} name the same file")
     report, trajectory = run_experiment(cfg)
     _write_text("--out", out, report.to_json(), stdout)
     if trajectory_out is not None:
@@ -291,7 +296,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Optional[str], trajectory_out: Option
 
 # After the label, each compare row holds these config fields, then these report fields.
 COMPARE_CONFIG_COLUMNS = ("steps", "theta", "variant", "gamma", "cfg_mode", "cfg_scale", "clip_method")
-COMPARE_REPORT_COLUMNS = ("mean_error", "cov_error", "wasserstein1", "saturation_fraction", "step_count")
+COMPARE_REPORT_COLUMNS = ("mean_error", "cov_error", "wasserstein1", "saturation_fraction")
 
 
 def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str], stdout) -> int:
@@ -315,17 +320,20 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
 
 def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
+    # Every result the commands report is checked for finiteness, so NumPy's floating-point warnings
+    # would only precede the one-line numerical failure.
     try:
-        args = build_parser().parse_args(argv)
-        runs = _resolve_runs(args)
-        if args.command == "compare":
-            return cmd_compare(runs, args.out, stdout)
-        if len(runs) > 1:
-            raise ConfigError(f"{args.command} accepts a single --config file")
-        ((_, cfg),) = runs
-        if args.command == "schedule":
-            return cmd_schedule(cfg, args.out, stdout)
-        return cmd_sample(cfg, args.out, args.trajectory_out, stdout)
+        with np.errstate(all="ignore"):
+            args = build_parser().parse_args(argv)
+            runs = _resolve_runs(args)
+            if args.command == "compare":
+                return cmd_compare(runs, args.out, stdout)
+            if len(runs) > 1:
+                raise ConfigError(f"{args.command} accepts a single --config file")
+            ((_, cfg),) = runs
+            if args.command == "schedule":
+                return cmd_schedule(cfg, args.out, stdout)
+            return cmd_sample(cfg, args.out, args.trajectory_out, stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -336,6 +344,3 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -104,7 +104,6 @@ class RunReport:
     cov_error: float
     wasserstein1: float
     saturation_fraction: float
-    step_count: int
     wall_time: float
 
     def __post_init__(self):

@@ -118,16 +118,8 @@ def batch_clip(
     if method == "none":
         return None
     if method in _EXPOSURE:
-        exposure = _EXPOSURE[method]
-
-        def _exposure_rows(x: np.ndarray) -> np.ndarray:
-            return exposure(x[:, None, :], shift, 0.0)[:, 0, :]
-
-        return _exposure_rows
-
-    _check_quantile(q, ceiling)
-
-    def _quantile_rows(x: np.ndarray) -> np.ndarray:
-        return _quantile(x[:, None, :], q, ceiling)[:, 0, :]
-
-    return _quantile_rows
+        kernel, args = _EXPOSURE[method], (shift, 0.0)
+    else:
+        _check_quantile(q, ceiling)
+        kernel, args = _quantile, (q, ceiling)
+    return lambda x: kernel(x[:, None, :], *args)[:, 0, :]

@@ -171,16 +171,17 @@ def run_sampler(
             importance-provenance slots to carry the curve they came from.
         eps_model: callable ``(state, t) -> noise prediction``, vectorized over
             rows; guidance, if any, is already composed into it.
-        initial: full-noise start, shape ``(dim,)`` or ``(batch, dim)``. Rows
-            are independent chains sharing one vectorized noise stream.
+        initial: full-noise start, shape ``(batch, dim)``; one chain is
+            ``initial[None, :]``. Rows are independent chains sharing one
+            vectorized noise stream.
 
     Returns:
-        The visited states and the terminal clean-state estimate, matching the
-        shape of ``initial``.
+        The visited states and the terminal clean-state estimate, each shaped
+        like ``initial``.
     """
     x = np.asarray(initial, dtype=np.float64)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
+    if x.ndim != 2:
+        raise ValueError(f"initial state must have shape (batch, dim), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericalError("initial state contains non-finite entries")
 
@@ -196,18 +197,15 @@ def run_sampler(
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
 
-    def record(t: int, state: np.ndarray) -> Tuple[int, np.ndarray]:
-        return t, state[0] if squeeze else state
-
     # Every later state is a fresh array; only the first can alias ``initial``.
-    states = [record(int(steps[0]), x.copy())]
+    states = [(int(steps[0]), x.copy())]
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
         x = denoise_step(eps_model, schedule, x, t_prev, mid, step_clip)
         if mid != t_anchor:
-            states.append(record(mid, x))
+            states.append((mid, x))
             x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
-        states.append(record(t_anchor, x))
+        states.append((t_anchor, x))
     final = denoise_step(eps_model, schedule, x, int(steps[-1]), None, config.clip)
-    return SampleTrajectory(states=states, final=final[0] if squeeze else final)
+    return SampleTrajectory(states=states, final=final)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -172,7 +173,8 @@ class TestSampleCommand:
         code, out = run_cli("sample", "--steps", "4", "--batch", "64")
         assert code == 0
         report = json.loads(out)
-        assert report["step_count"] == 4
+        assert report["config_echo"]["steps"] == 4
+        assert "step_count" not in report
         assert report["config_echo"]["batch"] == 64
         assert report["config_echo"]["mixture"] == "bimodal-1d"
         assert report["wasserstein1"] >= 0.0
@@ -203,13 +205,22 @@ class TestSampleCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path}: ")
 
+    @pytest.mark.parametrize("trajectory_name", ["same.csv", "./same.csv"], ids=["same-spelling", "dot-segment"])
+    def test_one_path_for_report_and_trajectory_exits_one(self, trajectory_name, tmp_path, capsys):
+        out, trajectory_out = str(tmp_path / "same.csv"), str(tmp_path / trajectory_name)
+        code, stdout = run_cli("sample", "--batch", "8", "--steps", "2", "--out", out, "--trajectory-out", trajectory_out)
+        assert (code, stdout) == (1, "")
+        assert capsys.readouterr().err == f"error: --out {out} and --trajectory-out {trajectory_out} name the same file\n"
+        assert not (tmp_path / "same.csv").exists()
+
     def test_flags_override_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"steps": 16, "variant": "plain", "batch": 32}))
         code, out = run_cli("sample", "--config", str(path), "--steps", "4")
         assert code == 0
         report = json.loads(out)
-        assert report["step_count"] == 4
+        assert report["config_echo"]["steps"] == 4
+        assert "step_count" not in report
         assert report["config_echo"]["variant"] == "plain"
         assert report["config_echo"]["batch"] == 32
 
@@ -316,6 +327,19 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert failure in err
+
+    # An error filter turns a NumPy floating-point warning into an exception that main does not catch.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0", "--cfg-scale", "1e308"),
+        ("--cfg-mode", "interpolate", "--condition", "1", "--cfg-scale", "1e308"),
+        (*CLIP_OVERFLOW, "--clip-shift", "1e308"),
+    ], ids=["negative-prompt", "interpolate", "clip"])
+    def test_numerical_failure_prints_one_line_and_no_warning(self, argv, capsys):
+        code, out = run_cli("sample", "--batch", "8", "--steps", "4", *argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("component, phrase", [
         ({"weight": math.nan, "mean": [0.0], "variance": 1.0}, "finite"),
@@ -501,12 +525,24 @@ def test_impossible_sizes_exit_one(argv, field, capsys):
     assert capsys.readouterr().err.startswith(f"error: {field} must lie in [")
 
 
-def test_state_too_large_to_allocate_exits_one(tmp_path, capsys):
-    # A 1,000-dimensional mixture at the largest batch asks for 2**40 * 1,000 values (8 PiB), which no
-    # allocator grants, so the failure is NumPy's MemoryError and not a config check.
+@pytest.mark.parametrize("dim", [2, 2**20])
+def test_batch_times_dimension_beyond_the_size_cap_exits_one(dim, tmp_path, capsys):
+    # Each factor passes its own cap; their product sizes the initial noise and the ground truth. Left to
+    # NumPy, 2**20 dimensions give "array is too big", a ValueError that main does not catch.
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"components": [{"weight": 1.0, "mean": [0.0] * 1000, "variance": 1.0}]}))
-    code, out = run_cli("sample", "--batch", str(2**40), "--mixture", str(path))
+    path.write_text(json.dumps({"components": [{"weight": 1.0, "mean": [0.0] * dim, "variance": 1.0}]}))
+    code, out = run_cli("sample", "--steps", "2", "--batch", str(2**40), "--mixture", str(path))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: batch {2**40} times the mixture dimension {dim} exceeds {2**40} values\n"
+    )
+
+
+def test_state_too_large_to_allocate_exits_one(monkeypatch, capsys):
+    # The size caps leave runs that still outgrow memory. 2**40 * 1,000 values (8 PiB) is more than any
+    # allocator grants, so NumPy raises its MemoryError without allocating.
+    monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: np.empty((2**40, 1000)))
+    code, out = run_cli("sample", "--batch", "8")
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
@@ -564,6 +600,15 @@ class TestCompareCommand:
             "theta=0", "theta=0.6", "theta=0.7", "theta=0.8", "theta=0.9", "theta=1",
         ]
         assert {r[1] for r in rows} == {"4"}
+
+    def test_header_is_label_config_columns_then_metrics(self):
+        code, out = run_cli("compare", "--steps", "2", "--batch", "8", "--sweep", "theta=0,1")
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert header == [
+            "label", "steps", "theta", "variant", "gamma", "cfg_mode", "cfg_scale", "clip_method",
+            "mean_error", "cov_error", "wasserstein1", "saturation_fraction",
+        ]
 
     def test_identical_configs_give_identical_rows(self, tmp_path):
         path = tmp_path / "config.json"
@@ -714,7 +759,9 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["step_count"] == 2
+    report = json.loads(proc.stdout)
+    assert report["config_echo"]["steps"] == 2
+    assert "step_count" not in report
 
 
 def test_cli_import_loads_no_scipy():

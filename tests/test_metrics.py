@@ -260,7 +260,6 @@ class TestRunReport:
             cov_error=0.02,
             wasserstein1=0.005,
             saturation_fraction=0.0,
-            step_count=8,
             wall_time=0.37,
         )
         fields.update(overrides)
@@ -274,7 +273,6 @@ class TestRunReport:
         assert list(parsed) == sorted(parsed)
         assert parsed["config_echo"]["variant"] == "plain"
         assert parsed["wasserstein1"] == 0.005
-        assert parsed["step_count"] == 8
 
     def test_rejects_negative_or_non_finite_metrics(self):
         with pytest.raises(ValueError, match="finite"):

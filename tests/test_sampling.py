@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -265,20 +267,21 @@ class TestTrajectory:
             )
             assert len(calls) == 8
 
-    def test_single_chain_keeps_vector_shape(self, linear_schedule, tight_gaussian):
-        ts = equidistant_schedule(linear_schedule, 4)
-        out = run_sampler(
-            SamplerConfig(variant="plain"), linear_schedule, ts,
-            make_eps_model(tight_gaussian, linear_schedule), np.array([1.3]),
-        )
-        assert out.final.shape == (1,)
-        assert all(state.shape == (1,) for _, state in out.states)
+    @pytest.mark.parametrize("shape", [(1,), (2, 3, 1)], ids=["vector", "three-dimensional"])
+    def test_initial_must_be_batch_by_dim(self, linear_schedule, shape):
+        def eps_model(x, t):
+            raise AssertionError("the model was called")
 
-    @pytest.mark.parametrize("shape", [(3, 1), (1,)])
-    def test_states_own_their_memory(self, linear_schedule, tight_gaussian, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (batch, dim), got {shape}")):
+            run_sampler(
+                SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4),
+                eps_model, np.zeros(shape),
+            )
+
+    def test_states_own_their_memory(self, linear_schedule, tight_gaussian):
         # Only the first state is copied; it is the one that could alias the
         # caller's array, and no two recorded states may share memory.
-        initial = np.random.default_rng(4).standard_normal(shape)
+        initial = np.random.default_rng(4).standard_normal((3, 1))
         out = run_sampler(
             SamplerConfig(variant="gamma"), linear_schedule, equidistant_schedule(linear_schedule, 4),
             make_eps_model(tight_gaussian, linear_schedule), initial,
