@@ -141,15 +141,17 @@ def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
     )
 
 
-def _check_label(label: Optional[int], model: MixtureModel, flag: str) -> None:
-    if label is not None and not 0 <= label < model.num_components:
-        raise ConfigError(f"{flag} {label} out of range for a {model.num_components}-component mixture")
+def _check_fits(cfg: ExperimentConfig, model: MixtureModel) -> None:
+    """The checks that need the mixture: the batch times dimension cap and both component labels."""
+    if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
+        raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
+    for label, flag in ((cfg.condition, "--condition"), (cfg.negative_condition, "--negative-condition")):
+        if label is not None and not 0 <= label < model.num_components:
+            raise ConfigError(f"{flag} {label} out of range for a {model.num_components}-component mixture")
 
 
 def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: NoiseSchedule):
     """Compose oracle predictions with the configured guidance."""
-    _check_label(cfg.condition, model, "--condition")
-    _check_label(cfg.negative_condition, model, "--negative-condition")
 
     def predict(x, t, label):
         return model.epsilon_prediction(schedule, x, t, condition=label)
@@ -182,8 +184,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     """
     start = time.perf_counter()
     model = _resolve_mixture(cfg)
-    if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
-        raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
+    _check_fits(cfg, model)
     schedule, curve = _schedule_and_curve(cfg)
     timesteps = adaptive_schedule(schedule, curve, cfg.steps, cfg.theta)
     eps_model = _build_eps_model(cfg, model, schedule)
@@ -308,6 +309,9 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
         raise ConfigError(
             f"compare requires a shared mixture and seed, got mixtures {sorted(mixtures)} and seeds {sorted(seeds)}"
         )
+    model = _resolve_mixture(labeled[0][1])
+    for _, cfg in labeled:  # every row is checked before the first run starts
+        _check_fits(cfg, model)
     rows = []
     for label, cfg in labeled:
         report, _ = run_experiment(cfg)

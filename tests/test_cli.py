@@ -551,7 +551,7 @@ def test_state_too_large_to_allocate_exits_one(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [["sample"], ["compare", "--sweep", "theta=0,1"]], ids=["sample", "compare"])
 @pytest.mark.parametrize("key", ["clip_alpha", "clip_beta", "clip_order"])
 def test_removed_balance_keys_exit_one(argv, key, tmp_path, capsys):
-    # On a one-channel row alpha and beta act only as alpha + beta - alpha * beta, so clip_shift is the one
+    # On a row, alpha and beta acted only as alpha + beta - alpha * beta, so clip_shift is the one
     # field; the clip's order is part of clip_method (tanh-balance or balance-tanh).
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: 0.5, "batch": 8}))
@@ -698,6 +698,20 @@ class TestCompareCommand:
                             "--sweep", "cfg_mode=negative_prompt,interpolate")
         assert (code, out, calls) == (1, "", [])
         assert "negative_condition needs cfg_mode 'negative_prompt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("condition=0,1,5", "--condition 5 out of range for a 3-component mixture"),
+        ("negative_condition=1,2,7", "--negative-condition 7 out of range for a 3-component mixture"),
+        (f"batch=8,{2**40}", f"batch {2**40} times the mixture dimension 2 exceeds {2**40} values"),
+    ], ids=["condition", "negative-condition", "batch-times-dimension"])
+    def test_a_row_that_does_not_fit_the_mixture_fails_before_any_run(self, sweep, message, monkeypatch, capsys):
+        # Only the mixture shows these rows to be invalid; the rows before them are valid.
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        code, out = run_cli("compare", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
+                            "--steps", "4", "--sweep", sweep)
+        assert (code, out, calls) == (1, "", [])
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rejects_unknown_sweep_field(self):
         code, _ = run_cli("compare", "--sweep", "omega=1,2")

@@ -4,160 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fewstep.postprocess import (
-    CLIP_METHODS,
-    batch_clip,
-    color_balance,
-    exposure_correct,
-    quantile_clip,
-    smooth_clip,
-)
+from fewstep.postprocess import CLIP_METHODS, batch_clip
 
-channel_tensors = hnp.arrays(
+row_batches = hnp.arrays(
     dtype=np.float64,
     shape=st.tuples(st.integers(1, 4), st.integers(1, 32)),
     elements=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
 )
-
-
-class TestColorBalance:
-    def test_constant_tensor_keeps_a_quarter(self):
-        x = np.full((3, 10), 2.0)
-        out = color_balance(x)
-        np.testing.assert_allclose(out, 0.5, atol=1e-12)
-
-    def test_full_strength_centers_exactly(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(loc=1.7, scale=0.4, size=(3, 50))
-        out = color_balance(x, alpha=1.0, beta=1.0)
-        assert np.all(np.abs(out.mean(axis=1)) < 1e-12)
-        assert abs(out.mean()) < 1e-12
-
-    def test_removes_the_expected_shift_fraction(self):
-        rng = np.random.default_rng(1)
-        base = rng.normal(size=(3, 400))
-        base -= base.mean(axis=1, keepdims=True)
-        alpha, beta = 0.5, 0.5
-        for shift in (1.0, 5.0, 10.0):
-            out = color_balance(base + shift, alpha=alpha, beta=beta)
-            remaining = (1.0 - alpha) * (1.0 - beta) * shift
-            assert out.mean() == pytest.approx(remaining, abs=1e-10)
-
-    def test_channel_means_shrink_independently(self):
-        x = np.array([[4.0, 4.0], [-2.0, -2.0]])
-        out = color_balance(x, alpha=1.0, beta=0.0)
-        np.testing.assert_allclose(out, 0.0, atol=1e-15)
-
-    def test_zero_strength_is_identity(self):
-        x = np.random.default_rng(2).normal(size=(2, 9))
-        np.testing.assert_array_equal(color_balance(x, alpha=0.0, beta=0.0), x)
-
-    def test_one_channel_alpha_and_beta_act_as_one_shift(self):
-        # With one channel the global mean is the channel mean, so (a, b) removes
-        # (a + b - a * b) of it: equal in exact arithmetic, rounded in a different order.
-        # The gap is measured in ULPs of the largest entry, since x - shift cancels. Two
-        # is not a worst case: near-constant rows with a close to 1 can reach three.
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            x = rng.normal(loc=rng.normal(scale=3.0), scale=rng.uniform(0.1, 3.0), size=(1, rng.integers(1, 64)))
-            a, b = rng.uniform(0.0, 1.0, 2)
-            gap = np.abs(color_balance(x, a, b) - color_balance(x, a + b - a * b, 0.0))
-            assert gap.max() <= 2 * np.spacing(np.abs(x).max())
-            np.testing.assert_array_equal(color_balance(x, 0.5, 0.5), color_balance(x, 0.75, 0.0))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="channels"):
-            color_balance(np.zeros(5))
-        with pytest.raises(ValueError, match="non-finite"):
-            color_balance(np.array([[np.nan, 1.0]]))
-
-
-class TestSmoothClip:
-    def test_fixed_points_and_bounds(self):
-        x = np.array([[0.0, 5.0, -5.0]])
-        out = smooth_clip(x)
-        assert out[0, 0] == 0.0
-        assert np.all(np.abs(out) < 1.0)
-        assert out[0, 1] == pytest.approx(1.0, abs=1e-4)
-        assert out[0, 2] == -out[0, 1]
-
-    def test_linear_regime_is_nearly_identity(self):
-        x = np.linspace(-0.1, 0.1, 21)[None, :]
-        out = smooth_clip(x)
-        nonzero = x != 0.0
-        rel = np.abs(out[nonzero] - x[nonzero]) / np.abs(x[nonzero])
-        assert rel.max() < 0.004
-
-    def test_monotone(self):
-        x = np.sort(np.random.default_rng(3).normal(scale=3.0, size=(1, 100)))
-        assert np.all(np.diff(smooth_clip(x)) >= 0.0)
-
-
-class TestExposureCorrect:
-    def test_balancing_first_defuses_saturation(self):
-        # A heavily overexposed tensor saturates the plain squash; centering
-        # the means first brings most values back into the linear regime.
-        rng = np.random.default_rng(4)
-        x = rng.normal(loc=4.0, scale=0.5, size=(3, 500))
-        naive = np.mean(np.abs(smooth_clip(x)) > 0.99)
-        corrected = np.mean(np.abs(exposure_correct(x, alpha=1.0, beta=1.0)) > 0.99)
-        assert naive > 0.95
-        assert corrected < 0.05
-
-    def test_order_flag_swaps_composition(self):
-        x = np.random.default_rng(5).normal(loc=1.0, size=(2, 40))
-        first = exposure_correct(x, 0.5, 0.5, balance_first=True)
-        np.testing.assert_array_equal(first, smooth_clip(color_balance(x, 0.5, 0.5)))
-        after = exposure_correct(x, 0.5, 0.5, balance_first=False)
-        np.testing.assert_array_equal(after, color_balance(smooth_clip(x), 0.5, 0.5))
-        assert not np.array_equal(first, after)
-
-    def test_squash_after_balancing_reintroduces_mean(self):
-        x = np.random.default_rng(6).normal(loc=2.0, size=(3, 300))
-        balanced_first = exposure_correct(x, alpha=1.0, beta=1.0, balance_first=True)
-        squashed_first = exposure_correct(x, alpha=1.0, beta=1.0, balance_first=False)
-        assert abs(squashed_first.mean()) < 1e-12
-        assert abs(balanced_first.mean()) < 0.05
-
-
-class TestQuantileClip:
-    def test_in_range_tensor_is_untouched(self):
-        x = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2, 50))
-        np.testing.assert_array_equal(quantile_clip(x), x)
-
-    def test_uniform_overflow_collapses_to_sign(self):
-        x = np.full((1, 20), 11.0)
-        x[0, ::2] = -11.0
-        out = quantile_clip(x, q=0.995, ceiling=1.0)
-        np.testing.assert_array_equal(out, np.sign(x))
-
-    def test_threshold_matches_reference_quantile(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(1, 1000))
-        x[0, :10] = 50.0
-        q = 0.9
-        s = np.quantile(np.abs(x), q)
-        assert s > 1.0
-        expected = np.clip(x, -s, s) / s
-        np.testing.assert_allclose(quantile_clip(x, q=q, ceiling=100.0), expected, rtol=1e-12)
-
-    def test_ceiling_caps_the_threshold(self):
-        x = np.full((1, 100), 30.0)
-        out = quantile_clip(x, q=1.0, ceiling=4.0)
-        np.testing.assert_array_equal(out, np.ones_like(x))
-
-    def test_rejects_bad_parameters(self):
-        x = np.zeros((1, 4))
-        with pytest.raises(ValueError, match="quantile"):
-            quantile_clip(x, q=0.0)
-        with pytest.raises(ValueError, match="ceiling"):
-            quantile_clip(x, ceiling=0.5)
-
-    @settings(max_examples=50, deadline=None)
-    @given(x=channel_tensors)
-    def test_output_always_within_unit_interval(self, x):
-        out = quantile_clip(x)
-        assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
 class TestBatchClip:
@@ -177,20 +30,94 @@ class TestBatchClip:
             x = rng.normal(scale=rng.uniform(0.1, 10.0), size=tuple(rng.integers(1, 17, size=2)))
             np.testing.assert_array_equal(clip(x), np.tanh(x))
 
-    @pytest.mark.parametrize("method", ["tanh-balance", "quantile"])
-    def test_rows_match_single_channel_tensors(self, method):
-        # A batch row must transform exactly like the same data presented as
-        # a one-channel tensor to the scalar ops: both run the same kernels.
-        clip = batch_clip(method, shift=0.72, q=0.9, ceiling=5.0)
-        batch = np.random.default_rng(10).normal(scale=2.0, size=(6, 40))
-        out = clip(batch)
-        for i, row in enumerate(batch):
-            tensor = row[None, :]
-            if method == "tanh-balance":
-                expected = exposure_correct(tensor, alpha=0.72, beta=0.0)
-            else:
-                expected = quantile_clip(tensor, q=0.9, ceiling=5.0)
-            np.testing.assert_array_equal(out[i], expected[0])
+    def test_squash_fixed_points_and_bounds(self):
+        out = batch_clip("tanh-balance", shift=0.0)(np.array([[0.0, 5.0, -5.0]]))
+        assert out[0, 0] == 0.0
+        assert np.all(np.abs(out) < 1.0)
+        assert out[0, 1] == pytest.approx(1.0, abs=1e-4)
+        assert out[0, 2] == -out[0, 1]
+
+    def test_squash_linear_regime_is_nearly_identity(self):
+        x = np.linspace(-0.1, 0.1, 21)[None, :]
+        out = batch_clip("tanh-balance", shift=0.0)(x)
+        nonzero = x != 0.0
+        rel = np.abs(out[nonzero] - x[nonzero]) / np.abs(x[nonzero])
+        assert rel.max() < 0.004
+
+    def test_squash_is_monotone(self):
+        x = np.sort(np.random.default_rng(3).normal(scale=3.0, size=(1, 100)))
+        assert np.all(np.diff(batch_clip("tanh-balance", shift=0.0)(x)) >= 0.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 0.75, 1.0])
+    def test_constant_row_keeps_one_minus_shift_of_its_mean(self, shift):
+        x = np.full((3, 10), 2.0)
+        np.testing.assert_allclose(batch_clip("tanh-balance", shift=shift)(x), np.tanh((1.0 - shift) * 2.0), atol=1e-12)
+        np.testing.assert_allclose(batch_clip("balance-tanh", shift=shift)(x), (1.0 - shift) * np.tanh(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.25, 0.75, 1.0])
+    def test_balance_removes_the_shift_fraction_of_each_row_mean(self, shift):
+        # balance-tanh balances last, so each output row mean is (1 - shift) of the squashed row's mean.
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, 400)) + np.array([[1.0], [5.0], [-10.0]])
+        out = batch_clip("balance-tanh", shift=shift)(x)
+        np.testing.assert_allclose(out.mean(axis=1), (1.0 - shift) * np.tanh(x).mean(axis=1), rtol=0, atol=1e-12)
+
+    def test_full_shift_centres_each_row_exactly(self):
+        x = np.random.default_rng(0).normal(loc=1.7, scale=0.4, size=(3, 50))
+        assert np.all(np.abs(batch_clip("balance-tanh", shift=1.0)(x).mean(axis=1)) < 1e-12)
+
+    def test_balancing_first_defuses_saturation(self):
+        # A heavily overexposed row saturates the plain squash; centring its mean first brings
+        # most values back into the linear regime.
+        x = np.random.default_rng(4).normal(loc=4.0, scale=0.5, size=(3, 500))
+        naive = np.mean(np.abs(np.tanh(x)) > 0.99)
+        corrected = np.mean(np.abs(batch_clip("tanh-balance", shift=1.0)(x)) > 0.99)
+        assert naive > 0.95
+        assert corrected < 0.05
+
+    def test_squashing_first_leaves_a_zero_row_mean(self):
+        x = np.random.default_rng(6).normal(loc=2.0, size=(3, 300))
+        balanced_first = batch_clip("tanh-balance", shift=1.0)(x)
+        squashed_first = batch_clip("balance-tanh", shift=1.0)(x)
+        assert np.all(np.abs(squashed_first.mean(axis=1)) < 1e-12)
+        assert np.all(np.abs(balanced_first.mean(axis=1)) < 0.05)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("shift", [0.72, 1.0, -0.3])
+    def test_exposure_clips_match_a_per_row_reference(self, dim, shift):
+        # Bit for bit against one np.dot per row. At dim >= 3 and batch >= 7, a plain 2-D x @ w or
+        # np.einsum rounds some row means differently, so this pins the product order.
+        w = np.full(dim, 1.0 / dim)
+        x = np.random.default_rng(dim).normal(loc=1.5, scale=2.0, size=(64, dim))
+        first = batch_clip("tanh-balance", shift=shift)(x)
+        after = batch_clip("balance-tanh", shift=shift)(x)
+        for row, got_first, got_after in zip(x, first, after):
+            np.testing.assert_array_equal(got_first, np.tanh(row - shift * np.dot(row, w)))
+            squashed = np.tanh(row)
+            np.testing.assert_array_equal(got_after, squashed - shift * np.dot(squashed, w))
+        if dim > 1:
+            assert not np.array_equal(first, after)
+
+    def test_in_range_row_is_untouched(self):
+        x = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2, 50))
+        np.testing.assert_array_equal(batch_clip("quantile")(x), x)
+
+    def test_uniform_overflow_collapses_to_sign(self):
+        x = np.full((1, 20), 11.0)
+        x[0, ::2] = -11.0
+        np.testing.assert_array_equal(batch_clip("quantile", q=0.995, ceiling=1.0)(x), np.sign(x))
+
+    def test_threshold_matches_reference_quantile(self):
+        x = np.random.default_rng(8).normal(size=(1, 1000))
+        x[0, :10] = 50.0
+        s = np.quantile(np.abs(x), 0.9)
+        assert s > 1.0
+        expected = np.clip(x, -s, s) / s
+        np.testing.assert_allclose(batch_clip("quantile", q=0.9, ceiling=100.0)(x), expected, rtol=1e-12)
+
+    def test_ceiling_caps_the_threshold(self):
+        x = np.full((1, 100), 30.0)
+        np.testing.assert_array_equal(batch_clip("quantile", q=1.0, ceiling=4.0)(x), np.ones_like(x))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -212,6 +139,12 @@ class TestBatchClip:
             # The default ceiling fixes the threshold at 1, so q has no effect.
             np.testing.assert_array_equal(out, np.clip(rows, -1.0, 1.0))
 
+    @settings(max_examples=50, deadline=None)
+    @given(x=row_batches, ceiling=st.sampled_from([1.0, 5.0, 1e6]))
+    def test_quantile_output_always_within_unit_interval(self, x, ceiling):
+        out = batch_clip("quantile", q=0.9, ceiling=ceiling)(x)
+        assert np.all(out >= -1.0) and np.all(out <= 1.0)
+
     def test_rows_are_independent(self):
         clip = batch_clip("quantile", q=1.0, ceiling=10.0)
         calm = np.full((1, 4), 0.5)
@@ -220,18 +153,13 @@ class TestBatchClip:
         np.testing.assert_array_equal(together[0], clip(calm)[0])
         np.testing.assert_array_equal(together[1], clip(loud)[0])
 
-    def test_balance_tanh_squashes_before_balancing(self):
-        x = np.random.default_rng(11).normal(loc=1.5, size=(3, 30))
-        first = batch_clip("tanh-balance")(x)
-        after = batch_clip("balance-tanh")(x)
-        assert not np.array_equal(first, after)
-        row = x[1][None, :]
-        np.testing.assert_array_equal(first[1], exposure_correct(row, alpha=0.75, beta=0.0)[0])
-        np.testing.assert_array_equal(after[1], exposure_correct(row, alpha=0.75, beta=0.0, balance_first=False)[0])
-
     def test_quantile_parameter_validation(self):
         with pytest.raises(ValueError, match="quantile"):
             batch_clip("quantile", q=2.0)
+        with pytest.raises(ValueError, match="quantile"):
+            batch_clip("quantile", q=0.0)
+        with pytest.raises(ValueError, match="ceiling"):
+            batch_clip("quantile", ceiling=0.5)
 
     def test_method_list_is_exhaustive(self):
         assert set(CLIP_METHODS) == {"none", "tanh-balance", "balance-tanh", "quantile"}

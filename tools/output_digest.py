@@ -4,7 +4,10 @@ Both cover the report JSON (minus ``wall_time``), every visited state and the
 final state of each ``sweep-512`` and ``bulk-65536`` benchmark config at seeds
 0 and 1, and the stdout of six fixed ``schedule`` and ``compare`` calls; one
 crosses two ``--sweep`` flags, one runs both exposure clip orders, and the last
-runs two clips at both clip timings.
+runs two clips at both clip timings. Every benchmark mixture has at most two
+dimensions, where any order of a row mean's products rounds alike, so the runs
+also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
+under guidance, with each of the three clips, at the same two seeds.
 The first line hashes each report whole. The second, ``numbers``, leaves out
 each report's ``config_echo``, so it stays equal across a change that renames,
 adds or removes config keys but moves no number.
@@ -17,16 +20,34 @@ Usage, from the repository root, before and after a change:
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # Read the benchmark's workload table without writing bytecode into perfbench/.
 sys.dont_write_bytecode = True
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
 from fewstep.cli import main, run_experiment  # noqa: E402
+from fewstep.config import ExperimentConfig  # noqa: E402
+
+# Reports echo the mixture path as given, so it is relative to the repository root.
+os.chdir(ROOT)
+
+
+def family_8d(seed: int) -> list:
+    """Criterion 7's guided 8-dimensional family under each clip; the quantile clip's ceiling lets q act."""
+    return [
+        ExperimentConfig(mixture="tools/family-8d.json", cfg_mode="negative_prompt", condition=0,
+                         negative_condition=1, cfg_scale=7.5, variant="gamma", clip_method=method,
+                         quantile_q=0.9, quantile_ceiling=4.0, seed=seed)
+        for method in ("tanh-balance", "balance-tanh", "quantile")
+    ]
+
 
 ARGVS = (
     ["schedule", "--steps", "8", "--theta", "0.7"],
@@ -52,9 +73,9 @@ def update(data: bytes) -> None:
     numbers.update(data)
 
 
-for workload in ("sweep-512", "bulk-65536"):
+for configs in (WORKLOADS["sweep-512"], WORKLOADS["bulk-65536"], family_8d):
     for seed in (0, 1):
-        for cfg in WORKLOADS[workload](seed):
+        for cfg in configs(seed):
             report, trajectory = run_experiment(cfg)
             fields = json.loads(report.to_json())
             del fields["wall_time"]
