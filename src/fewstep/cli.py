@@ -105,8 +105,11 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
 
     Files vary slowest, then the sweeps in flag order. A swept value beats a flag, and a flag beats the
     file. A label joins the swept parts with commas, after the file stem when there are several files or no sweep;
-    files that share a stem are named by their path as given.
+    files that share a stem are named by their path as given. Two paths to one file are an error.
     """
+    for first, second in itertools.combinations(args.config or [], 2):
+        if Path(first).resolve() == Path(second).resolve():
+            raise ConfigError(f"--config {first} and --config {second} name the same file")
     flags = {name: value for name, value in vars(args).items() if name in FIELDS and value is not None}
     stems = [Path(path).stem for path in args.config or []]
     files = [(path if stems.count(stem) > 1 else stem, load_config_mapping(path))
@@ -169,7 +172,7 @@ def _schedule_and_curve(cfg: ExperimentConfig) -> tuple[NoiseSchedule, Importanc
     """Build the noise schedule and its importance curve."""
     try:
         schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
-        curve = compute_importance(schedule, cfg.importance_epsilon)
+        curve = compute_importance(schedule)
     except ValueError as exc:
         raise ConfigError(f"bad noise schedule: {exc}") from None
     return schedule, curve
@@ -329,11 +332,11 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     try:
         with np.errstate(all="ignore"):
             args = build_parser().parse_args(argv)
+            if args.command != "compare" and len(args.config or []) > 1:
+                raise ConfigError(f"{args.command} accepts a single --config file")
             runs = _resolve_runs(args)
             if args.command == "compare":
                 return cmd_compare(runs, args.out, stdout)
-            if len(runs) > 1:
-                raise ConfigError(f"{args.command} accepts a single --config file")
             ((_, cfg),) = runs
             if args.command == "schedule":
                 return cmd_schedule(cfg, args.out, stdout)

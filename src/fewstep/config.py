@@ -62,7 +62,6 @@ class ExperimentConfig:
     num_train_steps: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    importance_epsilon: float = 1e-8
     steps: int = 8
     theta: float = 0.7
     variant: str = "gamma_i"
@@ -92,7 +91,6 @@ class ExperimentConfig:
         checks = (
             (3 <= self.num_train_steps <= _MAX_SIZE, f"num_train_steps must lie in [3, {_MAX_SIZE}]"),
             (0.0 < self.beta_start <= self.beta_end < 1.0, "beta range must satisfy 0 < start <= end < 1"),
-            (self.importance_epsilon > 0.0, "importance_epsilon must be positive"),
             (2 <= self.steps <= self.num_train_steps, "steps must lie in [2, num_train_steps]"),
             (0.0 <= self.theta <= 1.0, "theta must lie in [0, 1]"),
             (0.0 <= self.gamma < 1.0, "gamma must lie in [0, 1)"),

@@ -16,6 +16,8 @@ from .schedules import NoiseSchedule
 
 __all__ = ["ImportanceCurve", "compute_importance", "schedule_fingerprint"]
 
+_GUARD = 1e-8  # added inside the logarithm and used as the gradient floor
+
 
 def schedule_fingerprint(schedule: NoiseSchedule) -> str:
     """Stable digest of a schedule's beta array, used to pair derived curves."""
@@ -45,29 +47,22 @@ class ImportanceCurve:
         return int(self.values.size)
 
 
-def compute_importance(schedule: NoiseSchedule, epsilon: float = 1e-8) -> ImportanceCurve:
-    """Compute the importance curve of a noise schedule.
+def compute_importance(schedule: NoiseSchedule) -> ImportanceCurve:
+    """Compute the importance curve of a noise schedule with at least 3 timesteps.
 
-    The discrete gradient of ``log(snr + epsilon)`` uses central differences at
-    interior points and one-sided differences at the ends. Inverse magnitudes
-    are capped at ``1 / epsilon`` where a gradient vanishes, then divided by
-    their maximum so the curve peaks at exactly 1.
-
-    Args:
-        schedule: source noise schedule with at least 3 timesteps.
-        epsilon: positive guard added inside the logarithm and used as the
-            gradient floor. Default 1e-8.
+    The guard is fixed at 1e-8. The discrete gradient of ``log(snr + 1e-8)``
+    uses central differences at interior points and one-sided differences at
+    the ends. Inverse magnitudes are capped at ``1e8`` where a gradient
+    vanishes, then divided by their maximum so the curve peaks at exactly 1.
     """
     if schedule.num_steps < 3:
         raise ValueError(
             f"importance needs at least 3 timesteps for central differences, "
             f"got {schedule.num_steps}"
         )
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     snr = schedule.alpha_bars / (1.0 - schedule.alpha_bars)
-    grad = np.gradient(np.log(snr + epsilon))
-    inverse = 1.0 / np.maximum(np.abs(grad), epsilon)
+    grad = np.gradient(np.log(snr + _GUARD))
+    inverse = 1.0 / np.maximum(np.abs(grad), _GUARD)
     return ImportanceCurve(
         values=inverse / inverse.max(),
         source_schedule_id=schedule_fingerprint(schedule),

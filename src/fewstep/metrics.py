@@ -87,12 +87,12 @@ def sliced_wasserstein(a: np.ndarray, b: np.ndarray, directions: int = 32, rng_s
     return float(np.concatenate(gaps).mean())
 
 
-def saturation_fraction(x: np.ndarray, threshold: float = 0.99) -> float:
-    """Share of entries with magnitude above the threshold."""
+def saturation_fraction(x: np.ndarray) -> float:
+    """Share of entries with magnitude above 0.99."""
     x = _finite(x, "saturation fraction")
     if x.size == 0:
         raise ValueError("saturation fraction of an empty array is undefined")
-    return float(np.mean(np.abs(x) > threshold))
+    return float(np.mean(np.abs(x) > 0.99))
 
 
 @dataclass

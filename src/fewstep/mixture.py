@@ -93,13 +93,6 @@ class MixtureModel:
         out = peak + np.log(total)
         return out[0] if squeeze else out
 
-    def responsibilities(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
-        """Posterior component probabilities under the diffused mixture at ``t``."""
-        x, squeeze = _as_batch(x, self.dim)
-        _, shifted, total, _ = self._kernel(*self._diffused(schedule.alpha_bar_at(t)), x)
-        r = (shifted / total).T
-        return r[0] if squeeze else r
-
     def score(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Gradient of the diffused mixture's log-density at ``x``."""
         return self._score(schedule.alpha_bar_at(t), x)

@@ -90,16 +90,15 @@ def denoise_step(
 
     Forms the clean-state estimate ``x0_hat = (x - sqrt(1 - ab_from) * eps) / sqrt(ab_from)``, maps it
     through ``clip`` if one is given, and re-attaches the same noise with ``schedule.forward_diffuse``.
-    ``t_to=None`` targets the data axis and returns ``x0_hat`` itself; ``t_to == t_from`` is the
-    identity and calls neither the model nor the clip.
+    ``t_to=None`` targets the data axis and returns ``x0_hat`` itself. A ``t_to`` that is not below
+    ``t_from`` raises ``ValueError`` before the model is called. ``x0_hat`` must be finite before
+    the clip, so a clip cannot hide an overflowing estimate.
     """
     x = np.asarray(x, dtype=np.float64)
     t_from = schedule._check_t(t_from)
     if t_to is not None:
         t_to = schedule._check_t(t_to)
-        if t_to == t_from:
-            return x
-        if t_to > t_from:
+        if t_to >= t_from:
             raise ValueError(f"denoise must move down in time, got {t_from} -> {t_to}")
     eps = np.asarray(eps_model(x, t_from), dtype=np.float64)
     if eps.shape != x.shape:
@@ -109,6 +108,8 @@ def denoise_step(
     ab = schedule.alpha_bar_at(t_from)
     x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
     if clip is not None:
+        if not np.all(np.isfinite(x0_hat)):
+            raise NumericalError(f"non-finite clean-state estimate at timestep {t_from}")
         x0_hat = clip(x0_hat)
     x = x0_hat if t_to is None else schedule.forward_diffuse(x0_hat, t_to, eps)
     if not np.all(np.isfinite(x)):
@@ -125,15 +126,13 @@ def noisify(
 ) -> np.ndarray:
     """Forward kernel from ``t_from`` up to ``t_to``, preserving marginals.
 
-    ``x_to = sqrt(ab_to / ab_from) * x + sqrt(1 - ab_to / ab_from) * noise``;
-    ``t_to == t_from`` is the identity and draws nothing from ``noise``.
+    ``x_to = sqrt(ab_to / ab_from) * x + sqrt(1 - ab_to / ab_from) * noise``. A ``t_to`` that is
+    not above ``t_from`` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
     t_from = schedule._check_t(t_from)
     t_to = schedule._check_t(t_to)
-    if t_to == t_from:
-        return x
-    if t_to < t_from:
+    if t_to <= t_from:
         raise ValueError(f"noisify must move up in time, got {t_from} -> {t_to}")
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x.shape:

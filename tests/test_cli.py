@@ -373,7 +373,6 @@ VALID_VALUES = {
     "num_train_steps": [3, 16, 1000],
     "beta_start": [1e-4, 0.02],
     "beta_end": [0.02, 0.5],
-    "importance_epsilon": [1e-8, 1],
     "steps": [2, 8],
     "theta": [0, 0.7, 1.0],
     "gamma": [0.0, 0.2],
@@ -560,6 +559,18 @@ def test_removed_balance_keys_exit_one(argv, key, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
 
+def test_removed_importance_epsilon_exits_one(tmp_path, capsys):
+    # The importance curve's log guard is fixed at 1e-8; neither a flag nor a file sets it.
+    code, out = run_cli("sample", "--batch", "8", "--importance-epsilon", "1e-8")
+    assert (code, out) == (1, "")
+    assert "\nerror: fewstep: unrecognized arguments: --importance-epsilon 1e-8\n" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"importance_epsilon": 1e-8, "batch": 8}))
+    code, out = run_cli("sample", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: unknown config keys: ['importance_epsilon']\n"
+
+
 @pytest.mark.parametrize("flags", [["--clip-method", "tanh-only"], ["--clip-order", "tanh-first"]],
                          ids=["tanh-only", "clip-order"])
 def test_removed_clip_settings_exit_one(flags, capsys):
@@ -611,13 +622,23 @@ class TestCompareCommand:
         ]
 
     def test_identical_configs_give_identical_rows(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"steps": 4, "batch": 32}))
-        code, out = run_cli("compare", "--config", str(path), "--config", str(path))
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"steps": 4, "batch": 32}))
+        code, out = run_cli("compare", "--config", str(tmp_path / "a.json"), "--config", str(tmp_path / "b.json"))
         assert code == 0
         _, rows = parse_csv(out)
-        assert len(rows) == 2
-        assert rows[0] == rows[1]
+        assert [r[0] for r in rows] == ["a", "b"]
+        assert rows[0][1:] == rows[1][1:]
+
+    @pytest.mark.parametrize("second", ["a.json", "./a.json"], ids=["same-spelling", "dot-slash"])
+    def test_a_file_named_twice_exits_one_before_any_run(self, tmp_path, monkeypatch, capsys, second):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.json").write_text(json.dumps({"steps": 2, "batch": 8}))
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        code, out = run_cli("compare", "--config", "a.json", "--config", second)
+        assert (code, out, calls) == (1, "", [])
+        assert capsys.readouterr().err == f"error: --config a.json and --config {second} name the same file\n"
 
     def test_rejects_single_config(self):
         code, _ = run_cli("compare", "--steps", "4")

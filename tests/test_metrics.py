@@ -235,11 +235,6 @@ class TestSaturation:
 
     def test_threshold_is_exclusive(self):
         assert saturation_fraction(np.array([0.99, -0.99])) == 0.0
-        assert saturation_fraction(np.array([0.5]), threshold=0.5) == 0.0
-
-    def test_custom_threshold(self):
-        x = np.linspace(-1.0, 1.0, 21)
-        assert saturation_fraction(x, threshold=0.75) == pytest.approx(6 / 21)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):

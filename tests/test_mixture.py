@@ -135,8 +135,6 @@ class TestDensityAndScore:
         ]
         expected = np.logaddexp(*parts)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
-        r = bimodal.responsibilities(linear_schedule, xs, 0)
-        np.testing.assert_allclose(r.sum(axis=1), 1.0, rtol=1e-12)
         # Squared distances that overflow leave every component at -inf.
         with np.errstate(over="ignore", divide="ignore"):
             assert bimodal.log_density(np.array([1e200])) == -np.inf
@@ -169,23 +167,6 @@ class TestDensityAndScore:
             expected = finite_difference_score(skewed, linear_schedule, x, t)
             np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-7)
 
-    def test_score_is_responsibility_average_of_pulls(self, skewed, linear_schedule):
-        t = 500
-        diffused = skewed.diffused_params(linear_schedule, t)
-        xs = np.random.default_rng(2).normal(size=(40, 2))
-        r = skewed.responsibilities(linear_schedule, xs, t)
-        pulls = (diffused.means[None, :, :] - xs[:, None, :]) / diffused.variances[None, :, None]
-        expected = (r[:, :, None] * pulls).sum(axis=1)
-        np.testing.assert_allclose(
-            skewed.score(linear_schedule, xs, t), expected, rtol=0.0, atol=1e-10
-        )
-
-    def test_responsibilities_sum_to_one(self, skewed, linear_schedule):
-        xs = np.random.default_rng(3).normal(size=(25, 2))
-        r = skewed.responsibilities(linear_schedule, xs, 100)
-        np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(r >= 0.0)
-
     def test_batch_and_single_row_agree(self, skewed, linear_schedule):
         xs = np.array([[0.1, -0.4], [0.9, 0.3]])
         batch = skewed.score(linear_schedule, xs, 200)
@@ -204,11 +185,10 @@ class TestDensityAndScore:
         with pytest.raises(ValueError, match="finite"):
             skewed.score(linear_schedule, np.array([np.nan, 0.0]), 100)
 
-    @pytest.mark.parametrize("entry", ["log_density", "responsibilities", "conditioned"])
+    @pytest.mark.parametrize("entry", ["log_density", "conditioned"])
     def test_every_entry_point_rejects_non_finite_input(self, skewed, linear_schedule, entry):
         call = {
             "log_density": skewed.log_density,
-            "responsibilities": lambda x: skewed.responsibilities(linear_schedule, x, 10),
             "conditioned": lambda x: skewed.epsilon_prediction(linear_schedule, x, 100, condition=0),
         }[entry]
         for x in (np.array([np.nan, 0.0]), np.array([[0.0, 0.0], [0.0, -np.inf]])):
@@ -354,10 +334,10 @@ class TestConfig:
 
 def reference_oracle(model, ab, x):
     # Per component and per row in Python floats, with an explicit max-shifted
-    # log-sum-exp: log-density, responsibilities and score of the mixture diffused
-    # to alpha-bar ``ab``, plus each row's largest |log-density| term and the
+    # log-sum-exp: log-density and score of the mixture diffused to alpha-bar
+    # ``ab``, plus each row's largest |log-density| term and the
     # responsibility-weighted |pull| per coordinate, which bound the rounding error.
-    log_p, resp, score, size, pull_size = [], [], [], [], []
+    log_p, score, size, pull_size = [], [], [], []
     for row in x.tolist():
         lls, pulls, terms = [], [], []
         for w, mean, var in zip(model.weights, model.means.tolist(), model.variances):
@@ -372,11 +352,10 @@ def reference_oracle(model, ab, x):
         total = sum(math.exp(ll - peak) for ll in lls)
         r = [math.exp(ll - peak) / total for ll in lls]
         log_p.append(peak + math.log(total))
-        resp.append(r)
         score.append([sum(rk * p[j] for rk, p in zip(r, pulls)) for j in range(len(row))])
         size.append(max(terms))
         pull_size.append([sum(rk * abs(p[j]) for rk, p in zip(r, pulls)) for j in range(len(row))])
-    return tuple(map(np.array, (log_p, resp, score, size, pull_size)))
+    return tuple(map(np.array, (log_p, score, size, pull_size)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,13 +382,10 @@ def test_oracle_matches_a_per_component_loop(linear_schedule, components, dim, b
     far /= np.linalg.norm(far, axis=1, keepdims=True)
     sigma = np.sqrt(ab * model.variances.max() + 1.0 - ab)
     x[: batch // 2] = far * (np.sqrt(ab) * np.abs(model.means).sum(axis=1).max() + 1e3 * sigma)
-    log_p, resp, score, size, pull_size = reference_oracle(model, ab, x)
+    log_p, score, size, pull_size = reference_oracle(model, ab, x)
     # rtol 1e-12 of the magnitudes summed: rounding moves a log-density by about
-    # eps * size, each responsibility by that times itself, and the score by
-    # that times the responsibility-weighted |pull|.
+    # eps * size, and the score by that times the responsibility-weighted |pull|.
     size = np.maximum(size, 1.0)[:, None]
     assert np.all(np.abs(model._score(ab, x) - score) <= 1e-12 * size * pull_size)
-    r = model.responsibilities(linear_schedule, x, t)
-    assert np.all(np.abs(r - resp) <= 1e-12 * size)
     diffused = model.diffused_params(linear_schedule, t)
     assert np.all(np.abs(diffused.log_density(x) - log_p) <= 1e-12 * size[:, 0])

@@ -54,13 +54,12 @@ class TestDenoiseStep:
             denoise_step(model, linear_schedule, via, 300, None), x0, atol=1e-10
         )
 
-    def test_equal_timesteps_is_identity_without_model_call(self, linear_schedule):
+    def test_rejects_equal_timesteps_without_model_call(self, linear_schedule):
         def exploding_model(x, t):
             raise AssertionError("model must not be called")
 
-        x = np.array([[0.1, 0.2]])
-        out = denoise_step(exploding_model, linear_schedule, x, 500, 500)
-        np.testing.assert_array_equal(out, x)
+        with pytest.raises(ValueError, match="denoise must move down in time, got 500 -> 500"):
+            denoise_step(exploding_model, linear_schedule, np.array([[0.1, 0.2]]), 500, 500)
 
     def test_rejects_upward_step(self, linear_schedule):
         with pytest.raises(ValueError, match="down"):
@@ -83,12 +82,22 @@ class TestDenoiseStep:
                 np.zeros((1, 2)), 500, None,
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t_to", [None, 200])
+    @pytest.mark.parametrize("method", ["none", "tanh-balance", "balance-tanh", "quantile"])
+    def test_clip_cannot_hide_an_overflowing_estimate(self, linear_schedule, method, t_to):
+        # x0_hat overflows to +inf; tanh then balancing would turn each row into 0.25. Without
+        # a clip, the check on the state it returns fires.
+        x = np.full((2, 3), 1e308)
+        what = "state after the step from" if method == "none" else "clean-state estimate at"
+        with pytest.raises(NumericalError, match=f"non-finite {what} timestep 500"):
+            denoise_step(lambda x, t: np.full_like(x, -1e308), linear_schedule, x, 500, t_to, batch_clip(method))
+
 
 class TestNoisify:
-    def test_equal_timesteps_is_identity(self, linear_schedule):
-        x = np.array([[0.4]])
-        out = noisify(linear_schedule, x, 300, 300, np.array([[99.0]]))
-        np.testing.assert_array_equal(out, x)
+    def test_rejects_equal_timesteps(self, linear_schedule):
+        with pytest.raises(ValueError, match="noisify must move up in time, got 300 -> 300"):
+            noisify(linear_schedule, np.array([[0.4]]), 300, 300, np.array([[99.0]]))
 
     def test_rejects_downward_move(self, linear_schedule):
         with pytest.raises(ValueError, match="up"):

@@ -8,6 +8,9 @@ runs two clips at both clip timings. Every benchmark mixture has at most two
 dimensions, where any order of a row mean's products rounds alike, so the runs
 also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
 under guidance, with each of the three clips, at the same two seeds.
+Last come the files of one ``sample --out --trajectory-out`` call (with
+``--distill-omega`` on a ``scaled_linear`` schedule) and of one
+``schedule --out DIR`` call, written under a temporary directory.
 The first line hashes each report whole. The second, ``numbers``, leaves out
 each report's ``config_echo``, so it stays equal across a change that renames,
 adds or removes config keys but moves no number.
@@ -22,6 +25,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,21 +77,40 @@ def update(data: bytes) -> None:
     numbers.update(data)
 
 
+def update_report(text: str) -> None:
+    """Hash a report's JSON without ``wall_time``, and its ``config_echo`` into the first line only."""
+    fields = json.loads(text)
+    del fields["wall_time"]
+    full.update(json.dumps(fields, sort_keys=True).encode())
+    del fields["config_echo"]
+    numbers.update(json.dumps(fields, sort_keys=True).encode())
+
+
+def run_cli(argv: list) -> str:
+    out = io.StringIO()
+    if main(argv, stdout=out) != 0:
+        sys.exit(f"fewstep {' '.join(argv)} failed")
+    return out.getvalue()
+
+
 for configs in (WORKLOADS["sweep-512"], WORKLOADS["bulk-65536"], family_8d):
     for seed in (0, 1):
         for cfg in configs(seed):
             report, trajectory = run_experiment(cfg)
-            fields = json.loads(report.to_json())
-            del fields["wall_time"]
-            full.update(json.dumps(fields, sort_keys=True).encode())
-            del fields["config_echo"]
-            numbers.update(json.dumps(fields, sort_keys=True).encode())
+            update_report(report.to_json())
             for t, state in [*trajectory.states, (-1, trajectory.final)]:
                 update(str(t).encode() + state.tobytes())
 for argv in ARGVS:
-    out = io.StringIO()
-    if main(argv, stdout=out) != 0:
-        sys.exit(f"fewstep {' '.join(argv)} failed")
-    update(out.getvalue().encode())
+    update(run_cli(argv).encode())
+with tempfile.TemporaryDirectory() as tmp:
+    report_file, trajectory_file, table_dir = (Path(tmp) / name for name in ("report.json", "trajectory.csv", "tables"))
+    run_cli(["sample", "--schedule-kind", "scaled_linear", "--mixture", "skewed-2d", "--cfg-mode", "interpolate",
+             "--condition", "1", "--distill-omega", "2", "--batch", "64", "--out", str(report_file),
+             "--trajectory-out", str(trajectory_file)])
+    update_report(report_file.read_text())
+    update(trajectory_file.read_bytes())
+    run_cli(["schedule", "--steps", "6", "--theta", "0.5", "--out", str(table_dir)])
+    for name in ("curve.csv", "schedules.csv"):
+        update((table_dir / name).read_bytes())
 print(full.hexdigest())
 print(numbers.hexdigest(), "numbers")
