@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import _MAX_SIZE, CHOICES, FIELDS, ConfigError, ExperimentConfig, _parse_json, load_config_mapping
+from .config import _MAX_SIZE, CHOICES, FIELDS, ConfigError, ExperimentConfig, _parse_json, load_json_object
 from .guidance import compounding_scale, guide_interpolate, guide_negative
 from .importance import ImportanceCurve, compute_importance
 from .metrics import RunReport, moments_error, saturation_fraction, sliced_wasserstein, wasserstein_1d
@@ -33,6 +33,7 @@ from .timesteps import TimestepSchedule, adaptive_schedule
 __all__ = ["main", "run_experiment"]
 
 TRAJECTORY_CHAIN_LIMIT = 8
+SCHEDULE_TABLES = ("curve.csv", "schedules.csv")  # the files that schedule --out DIR writes
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -100,19 +101,23 @@ def _json_or_text(raw: str):
         return raw
 
 
+def _mixture_file(cfg: ExperimentConfig) -> Optional[Path]:
+    """The resolved file that a mixture other than a preset names, or None."""
+    path = Path(cfg.mixture)
+    return path.resolve() if cfg.mixture not in MIXTURE_PRESETS and path.is_file() else None
+
+
 def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]]:
     """Cross each --config file (or the flags alone) with every combination of the --sweep values.
 
     Files vary slowest, then the sweeps in flag order. A swept value beats a flag, and a flag beats the
     file. A label joins the swept parts with commas, after the file stem when there are several files or no sweep;
-    files that share a stem are named by their path as given. Two paths to one file are an error.
+    files that share a stem are named by their path as given. Two names for one file among the command's inputs
+    and outputs are an error, so nothing runs or is written; the runs read one mixture file however they spell it.
     """
-    for first, second in itertools.combinations(args.config or [], 2):
-        if Path(first).resolve() == Path(second).resolve():
-            raise ConfigError(f"--config {first} and --config {second} name the same file")
     flags = {name: value for name, value in vars(args).items() if name in FIELDS and value is not None}
     stems = [Path(path).stem for path in args.config or []]
-    files = [(path if stems.count(stem) > 1 else stem, load_config_mapping(path))
+    files = [(path if stems.count(stem) > 1 else stem, load_json_object(path, "config file"))
              for path, stem in zip(args.config or [], stems)] or [("", {})]
     sweeps = {}
     for text in getattr(args, "sweep", None) or []:
@@ -127,6 +132,14 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
         label = ",".join(([stem] if named else []) + [part for part, _ in combo])
         swept = dict(zip(sweeps, (value for _, value in combo)))
         runs.append((label, ExperimentConfig.from_mapping({**mapping, **flags, **swept})))
+    mixtures = {file: cfg.mixture for _, cfg in runs if (file := _mixture_file(cfg)) is not None}
+    schedule_dir = args.out if args.command == "schedule" else None
+    outs = [args.out] if schedule_dir is None else [str(Path(schedule_dir) / name) for name in SCHEDULE_TABLES]
+    paths = [*(("--config", path) for path in args.config or []), *(("--mixture", path) for path in mixtures.values()),
+             *(("--out", path) for path in outs), ("--trajectory-out", getattr(args, "trajectory_out", None))]
+    for (flag, path), (other_flag, other) in itertools.combinations(paths, 2):
+        if None not in (path, other) and Path(path).resolve() == Path(other).resolve():
+            raise ConfigError(f"{flag} {path} and {other_flag} {other} name the same file")
     return runs
 
 
@@ -134,14 +147,15 @@ def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
     if cfg.mixture in MIXTURE_PRESETS:
         return mixture_preset(cfg.mixture)
     path = Path(cfg.mixture)
-    if path.is_file():
-        try:
-            return mixture_from_config(path)
-        except ValueError as exc:
-            raise ConfigError(f"bad mixture file {path}: {exc}") from None
-    raise ConfigError(
-        f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) nor an existing file"
-    )
+    if not path.is_file():
+        raise ConfigError(
+            f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) nor an existing file"
+        )
+    mapping = load_json_object(path, "mixture file")
+    try:
+        return mixture_from_config(mapping)
+    except ValueError as exc:
+        raise ConfigError(f"bad mixture file {path}: {exc}") from None
 
 
 def _check_fits(cfg: ExperimentConfig, model: MixtureModel) -> None:
@@ -269,7 +283,7 @@ def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
         name: adaptive_schedule(schedule, curve, cfg.steps, theta)
         for name, theta in (("equidistant", 1.0), ("importance", 0.0), ("adaptive", cfg.theta))
     }
-    tables = {"curve.csv": _curve_csv(schedule, curve), "schedules.csv": _schedules_csv(named, curve)}
+    tables = dict(zip(SCHEDULE_TABLES, (_curve_csv(schedule, curve), _schedules_csv(named, curve))))
     if out is None:
         _write_text("--out", None, "\n".join(tables.values()), stdout)
     else:
@@ -289,8 +303,6 @@ def _trajectory_csv(trajectory, dim: int) -> str:
 
 
 def cmd_sample(cfg: ExperimentConfig, out: Optional[str], trajectory_out: Optional[str], stdout) -> int:
-    if out is not None and trajectory_out is not None and Path(out).resolve() == Path(trajectory_out).resolve():
-        raise ConfigError(f"--out {out} and --trajectory-out {trajectory_out} name the same file")
     report, trajectory = run_experiment(cfg)
     _write_text("--out", out, report.to_json(), stdout)
     if trajectory_out is not None:
@@ -306,7 +318,11 @@ COMPARE_REPORT_COLUMNS = ("mean_error", "cov_error", "wasserstein1", "saturation
 def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str], stdout) -> int:
     if len(labeled) < 2:
         raise ConfigError("compare needs at least 2 configurations (--config and/or --sweep)")
-    mixtures = {cfg.mixture for _, cfg in labeled}
+    labels = [label for label, _ in labeled]
+    repeated = [label for label in dict.fromkeys(labels) if labels.count(label) > 1]
+    if repeated:
+        raise ConfigError(f"compare rows need distinct labels, got {repeated} more than once")
+    mixtures = {str(_mixture_file(cfg) or cfg.mixture) for _, cfg in labeled}
     seeds = {cfg.seed for _, cfg in labeled}
     if len(mixtures) > 1 or len(seeds) > 1:
         raise ConfigError(

@@ -22,7 +22,7 @@ from .postprocess import CLIP_METHODS
 from .sampling import CLIP_TIMING, SAMPLER_VARIANTS
 from .schedules import SCHEDULE_KINDS
 
-__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "FIELDS", "load_config_mapping"]
+__all__ = ["ConfigError", "ExperimentConfig", "CHOICES", "FIELDS", "load_json_object"]
 
 # Allowed values of the enumerated fields, owned by the modules that act on them.
 CHOICES = {
@@ -130,23 +130,32 @@ FIELDS = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ValueError(f"key {key!r} is repeated")
+        mapping[key] = value
+    return mapping
+
+
 def _parse_json(text: str):
-    """``json.loads``, reporting nesting too deep for the parser as malformed JSON (a ``ValueError``)."""
+    """``json.loads``, reporting a repeated key or nesting too deep to parse as malformed JSON (a ``ValueError``)."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def load_config_mapping(path: str | Path) -> dict:
-    """Parse a JSON config file into a plain mapping, without validation."""
+def load_json_object(path: str | Path, kind: str) -> dict:
+    """Parse a JSON file that must hold an object, without further validation; ``kind`` names the file in errors."""
     path = Path(path)
     try:
         parsed = _parse_json(path.read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, too deep nesting, or UnicodeDecodeError on non-UTF-8 bytes
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"cannot read {kind} {path}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, a repeated key, too deep nesting, or non-UTF-8 bytes
+        raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from None
     if not isinstance(parsed, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"{kind} {path} must hold a JSON object")
     return parsed

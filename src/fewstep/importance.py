@@ -48,18 +48,13 @@ class ImportanceCurve:
 
 
 def compute_importance(schedule: NoiseSchedule) -> ImportanceCurve:
-    """Compute the importance curve of a noise schedule with at least 3 timesteps.
+    """Compute the importance curve of a noise schedule; ``ImportanceCurve`` rejects fewer than 3 timesteps.
 
     The guard is fixed at 1e-8. The discrete gradient of ``log(snr + 1e-8)``
     uses central differences at interior points and one-sided differences at
     the ends. Inverse magnitudes are capped at ``1e8`` where a gradient
     vanishes, then divided by their maximum so the curve peaks at exactly 1.
     """
-    if schedule.num_steps < 3:
-        raise ValueError(
-            f"importance needs at least 3 timesteps for central differences, "
-            f"got {schedule.num_steps}"
-        )
     snr = schedule.alpha_bars / (1.0 - schedule.alpha_bars)
     grad = np.gradient(np.log(snr + _GUARD))
     inverse = 1.0 / np.maximum(np.abs(grad), _GUARD)

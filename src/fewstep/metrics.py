@@ -55,8 +55,8 @@ def moments_error(samples: np.ndarray, model: MixtureModel) -> tuple[float, floa
 
 def _sorted_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean gap of sorted values along the last axis of equal-size sets; sorts both in place, overwrites ``a``."""
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"sample sets must have equal size, got {a.shape[-1]} and {b.shape[-1]}")
+    if a.shape[-1] != b.shape[-1] or a.shape[-1] == 0:
+        raise ValueError(f"sample sets must be non-empty and of equal size, got {a.shape[-1]} and {b.shape[-1]}")
     a.sort(axis=-1)
     b.sort(axis=-1)
     return np.abs(np.subtract(a, b, out=a), out=a).mean(axis=-1)
@@ -65,8 +65,6 @@ def _sorted_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     """Exact empirical 1-D Wasserstein-1 distance between two equal-size sample sets."""
     a, b = (_finite(x, "Wasserstein distance").flatten() for x in (a, b))  # copies: sorted in place
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both sample sets must be non-empty")
     return float(_sorted_gap(a, b))
 
 
@@ -82,7 +80,7 @@ def sliced_wasserstein(a: np.ndarray, b: np.ndarray, directions: int = 32, rng_s
     proj = stream(rng_seed, STREAM_PROJECTIONS).standard_normal((directions, a.shape[1]))
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
     # Every block keeps two or more rows: a one-row product goes to BLAS gemv, which rounds unlike gemm.
-    step = max(2, _BLOCK_VALUES // a.shape[0])
+    step = max(2, _BLOCK_VALUES // max(1, a.shape[0]))
     gaps = [_sorted_gap(p @ a.T, p @ b.T) for p in np.split(proj, range(step, directions - 1, step))]
     return float(np.concatenate(gaps).mean())
 

@@ -17,12 +17,11 @@ the log-sum-exp reduces over K, never over a short axis once per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .config import _EXPECTED, _accepts, _parse_json
+from .config import _EXPECTED, _accepts
 from .schedules import NoiseSchedule
 
 __all__ = ["MixtureModel", "MIXTURE_PRESETS", "mixture_preset", "mixture_from_config"]
@@ -182,13 +181,11 @@ def mixture_preset(name: str) -> MixtureModel:
     return mixture_from_config(MIXTURE_PRESETS[name])
 
 
-def mixture_from_config(source: Union[str, Path, dict]) -> MixtureModel:
-    """Build a mixture from a JSON config file or an already-parsed mapping.
+def mixture_from_config(source: dict) -> MixtureModel:
+    """Build a mixture from a parsed mixture file (``config.load_json_object`` reads one).
 
     Expected shape: ``{"components": [{"weight": w, "mean": [...], "variance": v}, ...]}``.
     """
-    if isinstance(source, (str, Path)):
-        source = _parse_json(Path(source).read_text())
     if not isinstance(source, dict):
         raise ValueError(f"mixture config must be a JSON object, got {type(source).__name__}")
     components = source.get("components")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fewstep.cli
 from fewstep.cli import main, run_experiment
-from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_config_mapping
+from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_json_object
 from fewstep.mixture import MIXTURE_PRESETS
 
 
@@ -44,7 +44,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(steps=16, variant="gamma", cfg_scale=3.0)
         path = tmp_path / "config.json"
         path.write_text(cfg.to_json())
-        again = ExperimentConfig.from_mapping(load_config_mapping(path))
+        again = ExperimentConfig.from_mapping(load_json_object(path, "config file"))
         assert again == cfg
         assert again.to_json() == cfg.to_json()
 
@@ -96,16 +96,17 @@ class TestExperimentConfig:
 
     def test_load_rejects_bad_files(self, tmp_path):
         missing = tmp_path / "nope.json"
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_config_mapping(missing)
         bad = tmp_path / "bad.json"
         bad.write_text("{steps:")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config_mapping(bad)
         listy = tmp_path / "list.json"
         listy.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
-            load_config_mapping(listy)
+        for kind in ("config file", "mixture file"):
+            with pytest.raises(ConfigError, match=f"cannot read {kind}"):
+                load_json_object(missing, kind)
+            with pytest.raises(ConfigError, match=f"{kind} .* is not valid JSON"):
+                load_json_object(bad, kind)
+            with pytest.raises(ConfigError, match=f"{kind} .* must hold a JSON object"):
+                load_json_object(listy, kind)
 
 
 class TestScheduleCommand:
@@ -589,6 +590,54 @@ def test_two_config_files_exit_one(command, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {command} accepts a single --config file\n"
 
 
+@pytest.mark.parametrize("source", ["--config", "--mixture"])
+@pytest.mark.parametrize("command, output, target, shown", [
+    (["sample", "--batch", "8", "--steps", "2"], ["--out", "./in.json"], "in.json", "--out ./in.json"),
+    (["sample", "--batch", "8", "--steps", "2"], ["--trajectory-out", "in.json"], "in.json", "--trajectory-out in.json"),
+    (["compare", "--batch", "8", "--steps", "2", "--sweep", "theta=0,1"], ["--out", "in.json"], "in.json",
+     "--out in.json"),
+    (["schedule", "--steps", "4"], ["--out", "tables"], "tables/curve.csv", "--out tables/curve.csv"),
+    (["schedule", "--steps", "4"], ["--out", "tables/"], "tables/schedules.csv", "--out tables/schedules.csv"),
+], ids=["sample-out", "sample-trajectory-out", "compare-out", "schedule-curve", "schedule-schedules"])
+def test_an_output_that_names_an_input_exits_one_before_any_run(source, command, output, target, shown, tmp_path,
+                                                                 monkeypatch, capsys):
+    # Each write would replace the file that the command reads.
+    monkeypatch.chdir(tmp_path)
+    Path(target).parent.mkdir(exist_ok=True)
+    content = {"batch": 8} if source == "--config" else MIXTURE_PRESETS["skewed-2d"]
+    Path(target).write_text(json.dumps(content))
+    calls = []
+    monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+    code, out = run_cli(*command, source, target, *output)
+    assert (code, out, calls) == (1, "", [])
+    assert capsys.readouterr().err == f"error: {source} {target} and {shown} name the same file\n"
+    assert json.loads(Path(target).read_text()) == content
+    assert sorted(str(path) for path in tmp_path.rglob("*") if path.is_file()) == [str(tmp_path / target)]
+
+
+def test_a_config_file_that_is_also_the_mixture_exits_one(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"batch": 8, "mixture": str(path)}))
+    code, out = run_cli("sample", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: --config {path} and --mixture {path} name the same file\n"
+
+
+@pytest.mark.parametrize("site", ["config", "mixture"])
+def test_a_repeated_json_key_exits_one(site, tmp_path, capsys):
+    # Python's json keeps the last value of a repeated key; the reader rejects the file instead.
+    path = tmp_path / f"{site}.json"
+    if site == "config":
+        path.write_text('{"steps": 2, "batch": 8, "steps": 4}')
+        argv, key = ["sample", "--config", str(path)], "steps"
+    else:
+        path.write_text('{"components": [{"weight": 1.0, "mean": [0.0], "weight": 0.5, "variance": 0.1}]}')
+        argv, key = ["sample", "--batch", "8", "--steps", "2", "--mixture", str(path)], "weight"
+    code, out = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {site} file {path} is not valid JSON: key '{key}' is repeated\n"
+
+
 def test_broken_stdout_exits_one(capsys):
     class BrokenPipe(io.StringIO):
         def write(self, text):
@@ -639,6 +688,26 @@ class TestCompareCommand:
         code, out = run_cli("compare", "--config", "a.json", "--config", second)
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == f"error: --config a.json and --config {second} name the same file\n"
+
+    @pytest.mark.parametrize("sweep", ["theta=1,1", "batch=4,4"])
+    def test_two_rows_with_one_label_exit_one_before_any_run(self, sweep, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        code, out = run_cli("compare", "--batch", "16", "--steps", "2", "--sweep", sweep)
+        assert (code, out, calls) == (1, "", [])
+        label = sweep.split(",")[0]
+        assert capsys.readouterr().err == f"error: compare rows need distinct labels, got ['{label}'] more than once\n"
+
+    def test_one_mixture_file_spelled_two_ways_is_shared(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("fam.json").write_text(json.dumps(MIXTURE_PRESETS["skewed-2d"]))
+        for name, mixture in (("a", "fam.json"), ("b", "./fam.json")):
+            Path(f"{name}.json").write_text(json.dumps({"steps": 2, "batch": 16, "mixture": mixture}))
+        code, out = run_cli("compare", "--config", "a.json", "--config", "b.json")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["a", "b"]
+        assert rows[0][1:] == rows[1][1:]
 
     def test_rejects_single_config(self):
         code, _ = run_cli("compare", "--steps", "4")

@@ -105,6 +105,11 @@ class TestWasserstein1D:
         with pytest.raises(ValueError, match="non-empty"):
             wasserstein_1d([], [1.0])
 
+    def test_rejects_two_empty_sets(self):
+        # Equal in size, yet there is no distance between no samples.
+        with pytest.raises(ValueError, match="non-empty and of equal size, got 0 and 0"):
+            wasserstein_1d([], [])
+
     @pytest.mark.parametrize("size", ORACLE_SIZES)
     def test_matches_scipy(self, size):
         a = tied_samples(size, size)
@@ -185,6 +190,12 @@ class TestSlicedWasserstein:
             sliced_wasserstein(np.zeros((1, 2)), np.zeros((5, 2)))
         with pytest.raises(ValueError, match="equal size"):
             sliced_wasserstein(np.zeros((6, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 5), (5, 0)])
+    def test_rejects_empty_sets(self, sizes):
+        # An empty first set once sized the direction blocks by dividing by zero.
+        with pytest.raises(ValueError, match=f"non-empty and of equal size, got {sizes[0]} and {sizes[1]}"):
+            sliced_wasserstein(np.zeros((sizes[0], 2)), np.zeros((sizes[1], 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

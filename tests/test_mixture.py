@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from fewstep.cli import run_experiment
-from fewstep.config import ExperimentConfig
+from fewstep.config import ExperimentConfig, load_json_object
 from fewstep.mixture import MIXTURE_PRESETS, MixtureModel, mixture_from_config, mixture_preset
 from fewstep.schedules import build_schedule
 
@@ -311,7 +311,7 @@ class TestConfig:
         }
         path = tmp_path / "mixture.json"
         path.write_text(json.dumps(payload))
-        model = mixture_from_config(path)
+        model = mixture_from_config(load_json_object(path, "mixture file"))
         np.testing.assert_array_equal(model.means, skewed.means)
         np.testing.assert_array_equal(model.weights, skewed.weights)
 

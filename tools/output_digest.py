@@ -10,7 +10,9 @@ also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
 under guidance, with each of the three clips, at the same two seeds.
 Last come the files of one ``sample --out --trajectory-out`` call (with
 ``--distill-omega`` on a ``scaled_linear`` schedule) and of one
-``schedule --out DIR`` call, written under a temporary directory.
+``schedule --out DIR`` call, written under a temporary directory, and the
+stdout of one ``compare --config A --config B`` call on two config files
+written there.
 The first line hashes each report whole. The second, ``numbers``, leaves out
 each report's ``config_echo``, so it stays equal across a change that renames,
 adds or removes config keys but moves no number.
@@ -112,5 +114,9 @@ with tempfile.TemporaryDirectory() as tmp:
     run_cli(["schedule", "--steps", "6", "--theta", "0.5", "--out", str(table_dir)])
     for name in ("curve.csv", "schedules.csv"):
         update((table_dir / name).read_bytes())
+    configs = {"plain.json": {"variant": "plain", "theta": 1}, "gamma-i.json": {"variant": "gamma_i", "gamma": 0.3}}
+    for name, fields in configs.items():
+        (Path(tmp) / name).write_text(json.dumps({"steps": 4, "mixture": "grid-2d", "batch": 64, **fields}))
+    update(run_cli(["compare", *(arg for name in configs for arg in ("--config", str(Path(tmp) / name)))]).encode())
 print(full.hexdigest())
 print(numbers.hexdigest(), "numbers")
