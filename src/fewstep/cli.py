@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import itertools
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -112,8 +114,9 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
 
     Files vary slowest, then the sweeps in flag order. A swept value beats a flag, and a flag beats the
     file. A label joins the swept parts with commas, after the file stem when there are several files or no sweep;
-    files that share a stem are named by their path as given. Two names for one file among the command's inputs
-    and outputs are an error, so nothing runs or is written; the runs read one mixture file however they spell it.
+    files that share a stem are named by their path as given. A value listed twice in one sweep, two names for one
+    file among the command's inputs and outputs, and an output that is a directory or lies under a file are errors,
+    so nothing runs or is written; the runs read one mixture file however they spell it.
     """
     flags = {name: value for name, value in vars(args).items() if name in FIELDS and value is not None}
     stems = [Path(path).stem for path in args.config or []]
@@ -126,6 +129,9 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
         if not values or key not in FIELDS or key in sweeps:
             raise ConfigError(f"--sweep expects FIELD=V1,V2,... with a known field swept once, got {text!r}")
         sweeps[key] = [(f"{key}={raw}", _json_or_text(raw)) for raw in map(str.strip, values.split(","))]
+        for (part, value), (other, twin) in itertools.combinations(sweeps[key], 2):
+            if value == twin and isinstance(value, bool) == isinstance(twin, bool):  # 1 == 1.0, but true is not 1
+                raise ConfigError(f"--sweep {text!r} lists one value twice: {part} and {other}")
     named = len(files) > 1 or not sweeps
     runs = []
     for (stem, mapping), combo in itertools.product(files, itertools.product(*sweeps.values())):
@@ -135,12 +141,26 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
     mixtures = {file: cfg.mixture for _, cfg in runs if (file := _mixture_file(cfg)) is not None}
     schedule_dir = args.out if args.command == "schedule" else None
     outs = [args.out] if schedule_dir is None else [str(Path(schedule_dir) / name) for name in SCHEDULE_TABLES]
+    outputs = [*(("--out", path) for path in outs), ("--trajectory-out", getattr(args, "trajectory_out", None))]
     paths = [*(("--config", path) for path in args.config or []), *(("--mixture", path) for path in mixtures.values()),
-             *(("--out", path) for path in outs), ("--trajectory-out", getattr(args, "trajectory_out", None))]
+             *outputs]
+    # os.path.realpath, unlike Path.resolve, raises no RuntimeError on a symlink loop; the write reports it.
     for (flag, path), (other_flag, other) in itertools.combinations(paths, 2):
-        if None not in (path, other) and Path(path).resolve() == Path(other).resolve():
+        if None not in (path, other) and os.path.realpath(path) == os.path.realpath(other):
             raise ConfigError(f"{flag} {path} and {other_flag} {other} name the same file")
+    for flag, path in outputs:
+        if path is not None and (code := _unwritable(path)):
+            raise ConfigError(f"{flag} {path}: {os.strerror(code)}")
     return runs
+
+
+def _unwritable(path: str) -> Optional[int]:
+    """The errno that writing a file at ``path`` would fail with for its place in the tree, or None."""
+    target = Path(os.path.realpath(path))
+    if target.is_dir():
+        return errno.EISDIR
+    ancestor = next(parent for parent in target.parents if parent.exists())
+    return None if ancestor.is_dir() else errno.ENOTDIR
 
 
 def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:

@@ -36,16 +36,19 @@ class GuidanceConfig:
             raise ValueError(f"distill_omega must be non-negative, got {self.distill_omega}")
 
 
-def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
+def _predictions(a: np.ndarray, b: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    if omega < 0.0:
+        raise ValueError(f"omega must be non-negative, got {omega}")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"prediction shapes differ: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def guide_interpolate(eps_cond: np.ndarray, eps_uncond: np.ndarray, omega: float) -> np.ndarray:
     """Extrapolate beyond the unconditional prediction: ``(1 + omega) * eps_cond - omega * eps_uncond``."""
-    eps_cond = np.asarray(eps_cond, dtype=np.float64)
-    eps_uncond = np.asarray(eps_uncond, dtype=np.float64)
-    _check_shapes(eps_cond, eps_uncond)
+    eps_cond, eps_uncond = _predictions(eps_cond, eps_uncond, omega)
     return (1.0 + omega) * eps_cond - omega * eps_uncond
 
 
@@ -55,11 +58,7 @@ def guide_negative(eps_cond: np.ndarray, eps_neg: np.ndarray, omega: float) -> n
     Equivalent to :func:`guide_interpolate` at scale ``omega - 1`` when the
     negative prediction is the unconditional one.
     """
-    if omega < 0.0:
-        raise ValueError(f"omega must be non-negative, got {omega}")
-    eps_cond = np.asarray(eps_cond, dtype=np.float64)
-    eps_neg = np.asarray(eps_neg, dtype=np.float64)
-    _check_shapes(eps_cond, eps_neg)
+    eps_cond, eps_neg = _predictions(eps_cond, eps_neg, omega)
     return eps_neg + omega * (eps_cond - eps_neg)
 
 

@@ -42,10 +42,6 @@ class ImportanceCurve:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def num_steps(self) -> int:
-        return int(self.values.size)
-
 
 def compute_importance(schedule: NoiseSchedule) -> ImportanceCurve:
     """Compute the importance curve of a noise schedule; ``ImportanceCurve`` rejects fewer than 3 timesteps.

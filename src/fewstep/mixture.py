@@ -50,7 +50,7 @@ class MixtureModel:
         if np.any(weights <= 0.0) or np.any(weights > 1.0):
             raise ValueError("weights must lie in (0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
+            raise ValueError(f"weights must sum to 1 within 1e-12, got {float(weights.sum())}")
         if np.any(variances <= 0.0):
             raise ValueError("variances must be strictly positive")
         for arr, name in ((weights, "weights"), (means, "means"), (variances, "variances")):

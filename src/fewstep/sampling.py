@@ -95,17 +95,15 @@ def denoise_step(
     the clip, so a clip cannot hide an overflowing estimate.
     """
     x = np.asarray(x, dtype=np.float64)
-    t_from = schedule._check_t(t_from)
-    if t_to is not None:
-        t_to = schedule._check_t(t_to)
-        if t_to >= t_from:
-            raise ValueError(f"denoise must move down in time, got {t_from} -> {t_to}")
-    eps = np.asarray(eps_model(x, t_from), dtype=np.float64)
+    ab = schedule.alpha_bar_at(t_from)
+    # NoiseSchedule keeps alpha_bar strictly decreasing in t, so a t_to not below t_from has no larger alpha_bar.
+    if t_to is not None and schedule.alpha_bar_at(t_to) <= ab:
+        raise ValueError(f"denoise must move down in time, got {t_from} -> {t_to}")
+    eps = np.asarray(eps_model(x, int(t_from)), dtype=np.float64)
     if eps.shape != x.shape:
         raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
     if not np.all(np.isfinite(eps)):
         raise NumericalError(f"non-finite noise prediction at timestep {t_from}")
-    ab = schedule.alpha_bar_at(t_from)
     x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
     if clip is not None:
         if not np.all(np.isfinite(x0_hat)):
@@ -130,14 +128,13 @@ def noisify(
     not above ``t_from`` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
-    t_from = schedule._check_t(t_from)
-    t_to = schedule._check_t(t_to)
-    if t_to <= t_from:
+    # alpha_bar falls strictly with t, so the ratio is below 1 exactly when t_to is above t_from.
+    ratio = schedule.alpha_bar_at(t_to) / schedule.alpha_bar_at(t_from)
+    if ratio >= 1.0:
         raise ValueError(f"noisify must move up in time, got {t_from} -> {t_to}")
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state shape {x.shape}")
-    ratio = schedule.alpha_bar_at(t_to) / schedule.alpha_bar_at(t_from)
     return np.sqrt(ratio) * x + np.sqrt(1.0 - ratio) * noise
 
 
@@ -190,8 +187,7 @@ def run_sampler(
             raise ValueError("gamma_i needs the importance curve bound to the timestep schedule")
         if timesteps.curve.source_schedule_id != schedule_fingerprint(schedule):
             raise ValueError("timestep schedule's importance curve belongs to a different noise schedule")
-    for t in (int(steps[0]), int(steps[-1])):
-        schedule._check_t(t)
+    schedule.alpha_bar_at(steps[0])  # TimestepSchedule keeps every later step below it and non-negative
 
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)

@@ -46,15 +46,12 @@ class NoiseSchedule:
     def num_steps(self) -> int:
         return int(self.betas.size)
 
-    def _check_t(self, t: int) -> int:
+    def alpha_bar_at(self, t: int) -> float:
+        """``alpha_bars[t]``; a timestep outside ``[0, num_steps - 1]`` raises ``IndexError``."""
         t = int(t)
         if not 0 <= t < self.num_steps:
             raise IndexError(f"timestep {t} outside [0, {self.num_steps - 1}]")
-        return t
-
-    def alpha_bar_at(self, t: int) -> float:
-        """``alpha_bars[t]`` with timestep validation."""
-        return float(self.alpha_bars[self._check_t(t)])
+        return float(self.alpha_bars[t])
 
     def snr(self, t: int) -> float:
         """Signal-to-noise ratio ``alpha_bar_t / (1 - alpha_bar_t)`` at timestep ``t``."""

@@ -69,7 +69,7 @@ def _interval_argmax(curve: ImportanceCurve, n: int) -> np.ndarray:
     # Slot i draws from the (n - 1 - i)-th of n contiguous intervals over
     # [0, T - 1], so slots keep the sampling order, high noise first. Argmax
     # takes the lowest index on ties.
-    T = curve.num_steps
+    T = curve.values.size
     edges = [(j * T) // n for j in range(n + 1)]
     picks = np.empty(n, dtype=np.int64)
     for i in range(n):

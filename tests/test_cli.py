@@ -1,10 +1,12 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -342,6 +344,13 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    def test_weights_that_do_not_sum_to_one_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps({"components": [{"weight": 0.25, "mean": [0.0], "variance": 1.0}] * 2}))
+        code, out = run_cli("sample", "--batch", "8", "--mixture", str(path))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: bad mixture file {path}: weights must sum to 1 within 1e-12, got 0.5\n"
+
     @pytest.mark.parametrize("component, phrase", [
         ({"weight": math.nan, "mean": [0.0], "variance": 1.0}, "finite"),
         ({"weight": 1.0, "mean": [math.nan], "variance": 1.0}, "finite"),
@@ -615,6 +624,31 @@ def test_an_output_that_names_an_input_exits_one_before_any_run(source, command,
     assert sorted(str(path) for path in tmp_path.rglob("*") if path.is_file()) == [str(tmp_path / target)]
 
 
+@pytest.mark.parametrize("argv, flag, path, code", [
+    (["sample", "--batch", "8", "--steps", "2"], "--out", "", errno.EISDIR),
+    (["compare", "--batch", "8", "--steps", "2", "--sweep", "theta=0,1"], "--out", "tables", errno.EISDIR),
+    (["sample", "--batch", "8", "--steps", "2"], "--out", "afile/r.json", errno.ENOTDIR),
+    (["sample", "--batch", "8", "--steps", "2"], "--trajectory-out", "afile/deeper/t.csv", errno.ENOTDIR),
+], ids=["sample-out-empty", "compare-out-directory", "sample-out-under-a-file", "trajectory-out-under-a-file"])
+def test_an_output_that_cannot_be_written_exits_one_before_any_run(argv, flag, path, code, tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("tables").mkdir()
+    Path("afile").write_text("")
+    monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: pytest.fail("a run started"))
+    assert run_cli(*argv, flag, path) == (1, "")
+    assert capsys.readouterr().err == f"error: {flag} {path}: {os.strerror(code)}\n"
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == [str(tmp_path / "afile"), str(tmp_path / "tables")]
+
+
+def test_an_output_on_a_symlink_loop_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("loop").symlink_to("loop")
+    code, out = run_cli("sample", "--batch", "8", "--steps", "2", "--out", "loop", "--trajectory-out", "t.csv")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: --out loop: {os.strerror(errno.ELOOP)}\n"
+
+
 def test_a_config_file_that_is_also_the_mixture_exits_one(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"batch": 8, "mixture": str(path)}))
@@ -689,14 +723,31 @@ class TestCompareCommand:
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == f"error: --config a.json and --config {second} name the same file\n"
 
-    @pytest.mark.parametrize("sweep", ["theta=1,1", "batch=4,4"])
-    def test_two_rows_with_one_label_exit_one_before_any_run(self, sweep, monkeypatch, capsys):
+    def test_two_rows_with_one_label_exit_one_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # Files that share a stem are labelled by their path, and b.json.json's stem is b.json.
+        monkeypatch.chdir(tmp_path)
+        Path("c").mkdir()
+        for name in ("b.json", "c/b.json", "b.json.json"):
+            Path(name).write_text(json.dumps({"batch": 16, "steps": 2}))
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        code, out = run_cli("compare", "--config", "b.json", "--config", "c/b.json", "--config", "b.json.json")
+        assert (code, out, calls) == (1, "", [])
+        assert capsys.readouterr().err == "error: compare rows need distinct labels, got ['b.json'] more than once\n"
+
+    @pytest.mark.parametrize("sweep, error", [
+        ("theta=1,1", "--sweep 'theta=1,1' lists one value twice: theta=1 and theta=1"),
+        ("theta=1,1.0", "--sweep 'theta=1,1.0' lists one value twice: theta=1 and theta=1.0"),
+        ("batch=4,4", "--sweep 'batch=4,4' lists one value twice: batch=4 and batch=4"),
+        ("theta=0, 1e0, 0.5, 1", "--sweep 'theta=0, 1e0, 0.5, 1' lists one value twice: theta=1e0 and theta=1"),
+        ("theta=true,1", "theta must be a finite number, got True"),
+    ], ids=["theta=1,1", "theta=1,1.0", "batch=4,4", "exponent", "true-is-not-1"])
+    def test_a_value_listed_twice_exits_one_before_any_run(self, sweep, error, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
         code, out = run_cli("compare", "--batch", "16", "--steps", "2", "--sweep", sweep)
         assert (code, out, calls) == (1, "", [])
-        label = sweep.split(",")[0]
-        assert capsys.readouterr().err == f"error: compare rows need distinct labels, got ['{label}'] more than once\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_one_mixture_file_spelled_two_ways_is_shared(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -81,6 +81,11 @@ def test_negative_rejects_negative_scale():
         guide_negative(np.zeros(2), np.zeros(2), -0.5)
 
 
+def test_interpolate_rejects_negative_scale():
+    with pytest.raises(ValueError, match="omega"):
+        guide_interpolate(np.array([1.0]), np.array([0.0]), -1.0)
+
+
 class TestCompounding:
     def test_scales_multiply(self):
         result = compounding_scale(7.5, 2.0)

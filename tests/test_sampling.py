@@ -69,6 +69,13 @@ class TestDenoiseStep:
         with pytest.raises(IndexError):
             denoise_step(lambda x, t: x, linear_schedule, np.zeros((1, 1)), 1000, None)
 
+    def test_rejects_an_out_of_range_target_without_model_call(self, linear_schedule):
+        def exploding_model(x, t):
+            raise AssertionError("model must not be called")
+
+        with pytest.raises(IndexError, match="timestep 1000 outside"):
+            denoise_step(exploding_model, linear_schedule, np.zeros((1, 1)), 500, 1000)
+
     def test_rejects_wrong_prediction_shape(self, linear_schedule):
         with pytest.raises(ValueError, match="shape"):
             denoise_step(
@@ -106,6 +113,11 @@ class TestNoisify:
     def test_rejects_mismatched_noise(self, linear_schedule):
         with pytest.raises(ValueError, match="shape"):
             noisify(linear_schedule, np.zeros((1, 2)), 100, 200, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("t_from, t_to, bad", [(100, 1000, 1000), (-1, 5, -1)])
+    def test_rejects_out_of_range_timesteps(self, linear_schedule, t_from, t_to, bad):
+        with pytest.raises(IndexError, match=f"timestep {bad} outside"):
+            noisify(linear_schedule, np.zeros((1, 1)), t_from, t_to, np.zeros((1, 1)))
 
     def test_preserves_forward_marginals(self, linear_schedule):
         # Diffusing to t1 and re-noising to t2 must match diffusing straight
@@ -355,6 +367,18 @@ class TestGuards:
                 SamplerConfig(variant="gamma_i"), linear_schedule, ts,
                 make_eps_model(tight_gaussian, linear_schedule), np.zeros((1, 1)),
             )
+
+    @pytest.mark.parametrize("first", [1000, 4000])
+    @pytest.mark.parametrize("variant", ["plain", "gamma", "gamma_i"])
+    def test_first_step_past_the_schedule_raises_before_the_model(self, linear_schedule, default_curve, variant,
+                                                                   first):
+        def exploding_model(x, t):
+            raise AssertionError("model must not be called")
+
+        # The curve belongs to this schedule, so gamma_i passes its own guards and reaches the timestep check.
+        ts = TimestepSchedule(steps=[first, first - 1, 0], provenance=(IMPORTANCE,) * 3, curve=default_curve)
+        with pytest.raises(IndexError, match=f"timestep {first} outside"):
+            run_sampler(SamplerConfig(variant=variant), linear_schedule, ts, exploding_model, np.zeros((1, 1)))
 
     def test_non_finite_initial_state_raises(self, linear_schedule, tight_gaussian):
         ts = equidistant_schedule(linear_schedule, 4)
