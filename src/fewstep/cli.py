@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import itertools
 import math
@@ -144,7 +145,7 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
     outputs = [*(("--out", path) for path in outs), ("--trajectory-out", getattr(args, "trajectory_out", None))]
     paths = [*(("--config", path) for path in args.config or []), *(("--mixture", path) for path in mixtures.values()),
              *outputs]
-    # os.path.realpath, unlike Path.resolve, raises no RuntimeError on a symlink loop; the write reports it.
+    # os.path.realpath, unlike Path.resolve, raises no RuntimeError on a symlink loop; _unwritable reports it.
     for (flag, path), (other_flag, other) in itertools.combinations(paths, 2):
         if None not in (path, other) and os.path.realpath(path) == os.path.realpath(other):
             raise ConfigError(f"{flag} {path} and {other_flag} {other} name the same file")
@@ -156,11 +157,14 @@ def _resolve_runs(args: argparse.Namespace) -> list[tuple[str, ExperimentConfig]
 
 def _unwritable(path: str) -> Optional[int]:
     """The errno that writing a file at ``path`` would fail with for its place in the tree, or None."""
-    target = Path(os.path.realpath(path))
-    if target.is_dir():
-        return errno.EISDIR
-    ancestor = next(parent for parent in target.parents if parent.exists())
-    return None if ancestor.is_dir() else errno.ENOTDIR
+    target = os.path.realpath(path)
+    try:
+        os.stat(target)
+    except FileNotFoundError:  # the write makes the missing directories
+        return None
+    except OSError as exc:  # a file among the ancestors, a symlink loop
+        return exc.errno
+    return errno.EISDIR if os.path.isdir(target) else None
 
 
 def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
@@ -202,14 +206,20 @@ def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: Noise
     return lambda x, t: combine(predict(x, t, cfg.condition), predict(x, t, other), cfg.cfg_scale)
 
 
-def _schedule_and_curve(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve]:
-    """Build the noise schedule and its importance curve."""
+@functools.lru_cache(maxsize=1)
+def _set_up(kind: str, num_train_steps: int, beta_start: float, beta_end: float, steps: int,
+            theta: float) -> tuple[NoiseSchedule, ImportanceCurve, TimestepSchedule]:
+    """The noise schedule, its importance curve and the adaptive timesteps; each is immutable, so calls share them."""
     try:
-        schedule = build_schedule(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end)
+        schedule = build_schedule(kind, num_train_steps, beta_start, beta_end)
         curve = compute_importance(schedule)
     except ValueError as exc:
         raise ConfigError(f"bad noise schedule: {exc}") from None
-    return schedule, curve
+    return schedule, curve, adaptive_schedule(schedule, curve, steps, theta)
+
+
+def _set_up_for(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve, TimestepSchedule]:
+    return _set_up(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end, cfg.steps, cfg.theta)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
@@ -222,8 +232,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     start = time.perf_counter()
     model = _resolve_mixture(cfg)
     _check_fits(cfg, model)
-    schedule, curve = _schedule_and_curve(cfg)
-    timesteps = adaptive_schedule(schedule, curve, cfg.steps, cfg.theta)
+    schedule, _, timesteps = _set_up_for(cfg)
     eps_model = _build_eps_model(cfg, model, schedule)
     sampler_config = SamplerConfig(
         variant=cfg.variant,
@@ -297,12 +306,11 @@ def _schedules_csv(named: dict[str, TimestepSchedule], curve: ImportanceCurve) -
 
 
 def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
-    schedule, curve = _schedule_and_curve(cfg)
+    schedule, curve, adaptive = _set_up_for(cfg)
     # theta = 1 and theta = 0 give the two pure selections.
-    named = {
-        name: adaptive_schedule(schedule, curve, cfg.steps, theta)
-        for name, theta in (("equidistant", 1.0), ("importance", 0.0), ("adaptive", cfg.theta))
-    }
+    named = {name: adaptive_schedule(schedule, curve, cfg.steps, theta)
+             for name, theta in (("equidistant", 1.0), ("importance", 0.0))}
+    named["adaptive"] = adaptive
     tables = dict(zip(SCHEDULE_TABLES, (_curve_csv(schedule, curve), _schedules_csv(named, curve))))
     if out is None:
         _write_text("--out", None, "\n".join(tables.values()), stdout)

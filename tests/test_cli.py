@@ -649,6 +649,17 @@ def test_an_output_on_a_symlink_loop_exits_one(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: --out loop: {os.strerror(errno.ELOOP)}\n"
 
 
+@pytest.mark.parametrize("flag, path", [("--out", "loop"), ("--out", "loop/r.json"), ("--trajectory-out", "loop")],
+                         ids=["out", "out-under-the-loop", "trajectory-out"])
+def test_an_output_on_a_symlink_loop_exits_one_before_any_run(flag, path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("loop").symlink_to("loop")
+    monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: pytest.fail("a run started"))
+    assert run_cli("sample", "--batch", "8", "--steps", "2", flag, path) == (1, "")
+    assert capsys.readouterr().err == f"error: {flag} {path}: {os.strerror(errno.ELOOP)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
 def test_a_config_file_that_is_also_the_mixture_exits_one(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"batch": 8, "mixture": str(path)}))
@@ -906,6 +917,76 @@ class TestRunExperiment:
         cfg = ExperimentConfig(steps=4, batch=64, mixture="grid-2d")
         report, _ = run_experiment(cfg)
         assert report.wasserstein1 > 0.0
+
+
+class TestSetUpCache:
+    """Runs that share the six set-up fields share one schedule, importance curve and timestep set."""
+
+    KEY_CHANGES = [{"schedule_kind": "cosine"}, {"num_train_steps": 500}, {"beta_start": 2e-4},
+                   {"beta_end": 0.03}, {"steps": 4}, {"theta": 0.5}]
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """The (schedule, curve, timesteps) that each run_experiment call hands its sampler."""
+        seen, run_sampler = [], fewstep.cli.run_sampler
+
+        def spy(config, schedule, timesteps, eps_model, initial):
+            seen.append((schedule, timesteps.curve, timesteps))
+            return run_sampler(config, schedule, timesteps, eps_model, initial)
+
+        monkeypatch.setattr(fewstep.cli, "run_sampler", spy)
+        fewstep.cli._set_up.cache_clear()
+        return seen
+
+    @pytest.mark.parametrize("change", [{"seed": 5}, {"variant": "gamma"}, {"clip_method": "quantile"}],
+                             ids=["seed", "variant", "clip_method"])
+    def test_other_fields_share_the_set_up(self, change, sampled):
+        cfg = ExperimentConfig(steps=4, batch=16, variant="gamma_i", theta=0.0)
+        run_experiment(cfg)
+        run_experiment(dataclasses.replace(cfg, **change))
+        first, second = sampled
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("change", KEY_CHANGES, ids=[next(iter(c)) for c in KEY_CHANGES])
+    def test_each_key_field_rebuilds(self, change, sampled):
+        cfg = ExperimentConfig(steps=8, batch=16)
+        run_experiment(cfg)
+        run_experiment(dataclasses.replace(cfg, **change))
+        first, second = sampled
+        assert not any(a is b for a, b in zip(first, second))
+
+    def test_a_bad_schedule_raises_on_every_call(self, monkeypatch):
+        # alpha_bar underflows to 0 within 5000 steps of betas this large; a failed build is not kept.
+        builds = []
+        build = fewstep.cli.build_schedule
+        monkeypatch.setattr(fewstep.cli, "build_schedule", lambda *args: builds.append(args) or build(*args))
+        cfg = ExperimentConfig(batch=8, beta_start=0.5, beta_end=0.999, num_train_steps=5000)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="^bad noise schedule: "):
+                run_experiment(cfg)
+        assert len(builds) == 2
+
+    def test_a_report_is_the_same_from_a_cold_and_a_warm_cache(self):
+        cfg = ExperimentConfig(steps=6, batch=64, mixture="grid-2d", cfg_mode="interpolate", condition=2,
+                               cfg_scale=3.0, variant="gamma_i", clip_method="tanh-balance", theta=0.5)
+
+        def report_bytes():
+            fields = json.loads(run_experiment(cfg)[0].to_json())
+            fields.pop("wall_time")
+            return json.dumps(fields)
+
+        fewstep.cli._set_up.cache_clear()
+        cold = report_bytes()
+        assert fewstep.cli._set_up.cache_info().currsize == 1
+        assert report_bytes() == cold
+        assert fewstep.cli._set_up.cache_info().hits >= 1
+
+    def test_the_shared_arrays_are_read_only(self, sampled):
+        run_experiment(ExperimentConfig(steps=4, batch=8))
+        ((schedule, curve, timesteps),) = sampled
+        for array in (schedule.alpha_bars, curve.values, timesteps.steps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
 
 def test_module_entry_point_runs():
