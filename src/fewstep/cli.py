@@ -275,7 +275,7 @@ def _write_text(flag: str, path: Optional[str], text: str, stdout) -> None:
     if path is None:
         stdout.write(text)
         return
-    target = Path(path)
+    target = Path(os.path.realpath(path))  # where _unwritable looked: a symlink's target
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)

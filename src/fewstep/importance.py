@@ -7,8 +7,7 @@ gradient, normalized by the largest inverse over the whole trajectory.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +18,9 @@ __all__ = ["ImportanceCurve", "compute_importance", "schedule_fingerprint"]
 _GUARD = 1e-8  # added inside the logarithm and used as the gradient floor
 
 
-def schedule_fingerprint(schedule: NoiseSchedule) -> str:
-    """Stable digest of a schedule's beta array, used to pair derived curves."""
-    return hashlib.sha256(schedule.betas.tobytes()).hexdigest()[:16]
+def schedule_fingerprint(schedule: NoiseSchedule) -> bytes:
+    """A schedule's betas as bytes, used to pair derived curves; betas in (0, 1) make equal bytes equal betas."""
+    return schedule.betas.tobytes()
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class ImportanceCurve:
     """Normalized inverse log-SNR slope per timestep, in ``[0, 1]`` with max exactly 1."""
 
     values: np.ndarray
-    source_schedule_id: str
+    source_schedule_id: bytes = field(repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

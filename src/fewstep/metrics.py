@@ -79,9 +79,8 @@ def sliced_wasserstein(a: np.ndarray, b: np.ndarray, directions: int = 32, rng_s
         raise ValueError(f"need at least 8 projection directions, got {directions}")
     proj = stream(rng_seed, STREAM_PROJECTIONS).standard_normal((directions, a.shape[1]))
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
-    # Every block keeps two or more rows: a one-row product goes to BLAS gemv, which rounds unlike gemm.
-    step = max(2, _BLOCK_VALUES // max(1, a.shape[0]))
-    gaps = [_sorted_gap(p @ a.T, p @ b.T) for p in np.split(proj, range(step, directions - 1, step))]
+    step = max(1, _BLOCK_VALUES // max(1, a.shape[0]))
+    gaps = [_sorted_gap(p @ a.T, p @ b.T) for p in np.split(proj, range(step, directions, step))]
     return float(np.concatenate(gaps).mean())
 
 

@@ -649,6 +649,15 @@ def test_an_output_on_a_symlink_loop_exits_one(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: --out loop: {os.strerror(errno.ELOOP)}\n"
 
 
+def test_an_output_that_is_a_dangling_symlink_is_written_at_its_target(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("dang").symlink_to("nowhere/x")
+    assert run_cli("sample", "--batch", "8", "--steps", "2", "--out", "dang") == (0, "")
+    assert capsys.readouterr().err == ""
+    assert json.loads(Path("nowhere/x").read_text())["config_echo"]["batch"] == 8
+    assert Path("dang").read_text() == Path("nowhere/x").read_text()
+
+
 @pytest.mark.parametrize("flag, path", [("--out", "loop"), ("--out", "loop/r.json"), ("--trajectory-out", "loop")],
                          ids=["out", "out-under-the-loop", "trajectory-out"])
 def test_an_output_on_a_symlink_loop_exits_one_before_any_run(flag, path, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import wasserstein_distance
 
 from fewstep.metrics import (
+    _BLOCK_VALUES,
     RunReport,
     _sorted_gap,
     mixture_moments,
@@ -207,10 +208,14 @@ class TestSlicedWasserstein:
             sliced_wasserstein(poisoned, np.zeros((5, 2)))
 
     # Past 2,048 rows the 32 default directions no longer fit one block, 33
-    # leaves a remainder, and 65,537 rows reach the two-row floor of a block.
-    # A one-row block would go to BLAS gemv, which rounds 3-D and 8-D products differently.
+    # leaves a remainder, and from 32,769 rows a block holds one direction.
+    # The BLAS kernel a product goes to follows its shape (gemv for one row,
+    # and AVX2 gemm rounds small blocks unlike one large product), so the
+    # answer equals a per-block reference bit for bit and one product only
+    # within a relative 1e-14.
     @pytest.mark.parametrize(
-        "batch, dim", [(2047, 2), (2048, 2), (2049, 2), (10_000, 2), (65_537, 2), (65_537, 3), (65_537, 8)]
+        "batch, dim",
+        [(2047, 2), (2048, 2), (2049, 2), (10_000, 2), (40_000, 8), (65_537, 2), (65_537, 3), (65_537, 8)],
     )
     @pytest.mark.parametrize("directions", [32, 33])
     def test_blocks_do_not_change_the_answer(self, batch, dim, directions):
@@ -219,8 +224,15 @@ class TestSlicedWasserstein:
         b = rng.normal(size=(batch, dim)) * 1.3 + 0.2
         proj = stream(7, STREAM_PROJECTIONS).standard_normal((directions, dim))
         proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+        step = max(1, _BLOCK_VALUES // batch)
+        blocked = np.concatenate([
+            np.abs(np.sort(p @ a.T) - np.sort(p @ b.T)).mean(-1)
+            for p in np.split(proj, range(step, directions, step))
+        ]).mean()
         whole = np.abs(np.sort(proj @ a.T) - np.sort(proj @ b.T)).mean(-1).mean()
-        assert sliced_wasserstein(a, b, directions, rng_seed=7) == whole
+        result = sliced_wasserstein(a, b, directions, rng_seed=7)
+        assert result == blocked
+        assert result == pytest.approx(whole, rel=1e-14, abs=0)
 
 
 def test_distances_leave_their_inputs_unchanged():
