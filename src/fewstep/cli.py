@@ -167,30 +167,6 @@ def _unwritable(path: str) -> Optional[int]:
     return errno.EISDIR if os.path.isdir(target) else None
 
 
-def _resolve_mixture(cfg: ExperimentConfig) -> MixtureModel:
-    if cfg.mixture in MIXTURE_PRESETS:
-        return mixture_preset(cfg.mixture)
-    path = Path(cfg.mixture)
-    if not path.is_file():
-        raise ConfigError(
-            f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) nor an existing file"
-        )
-    mapping = load_json_object(path, "mixture file")
-    try:
-        return mixture_from_config(mapping)
-    except ValueError as exc:
-        raise ConfigError(f"bad mixture file {path}: {exc}") from None
-
-
-def _check_fits(cfg: ExperimentConfig, model: MixtureModel) -> None:
-    """The checks that need the mixture: the batch times dimension cap and both component labels."""
-    if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
-        raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
-    for label, flag in ((cfg.condition, "--condition"), (cfg.negative_condition, "--negative-condition")):
-        if label is not None and not 0 <= label < model.num_components:
-            raise ConfigError(f"{flag} {label} out of range for a {model.num_components}-component mixture")
-
-
 def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: NoiseSchedule):
     """Compose oracle predictions with the configured guidance."""
 
@@ -222,6 +198,30 @@ def _set_up_for(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve, 
     return _set_up(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end, cfg.steps, cfg.theta)
 
 
+def _prepare(cfg: ExperimentConfig) -> tuple[MixtureModel, NoiseSchedule, TimestepSchedule]:
+    """Every check a run makes before it starts, in order; returns the mixture, the noise schedule and the timesteps."""
+    path = Path(cfg.mixture)
+    if cfg.mixture in MIXTURE_PRESETS:
+        model = mixture_preset(cfg.mixture)
+    elif not path.is_file():
+        raise ConfigError(
+            f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) nor an existing file"
+        )
+    else:
+        mapping = load_json_object(path, "mixture file")  # its ConfigError is a ValueError, so read outside the try
+        try:
+            model = mixture_from_config(mapping)
+        except ValueError as exc:
+            raise ConfigError(f"bad mixture file {path}: {exc}") from None
+    if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
+        raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
+    for label, flag in ((cfg.condition, "--condition"), (cfg.negative_condition, "--negative-condition")):
+        if label is not None and not 0 <= label < model.num_components:
+            raise ConfigError(f"{flag} {label} out of range for a {model.num_components}-component mixture")
+    schedule, _, timesteps = _set_up_for(cfg)
+    return model, schedule, timesteps
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     """Run one sampling experiment and score it against the analytic reference.
 
@@ -230,9 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     component when a condition is set, the full mixture otherwise.
     """
     start = time.perf_counter()
-    model = _resolve_mixture(cfg)
-    _check_fits(cfg, model)
-    schedule, _, timesteps = _set_up_for(cfg)
+    model, schedule, timesteps = _prepare(cfg)
     eps_model = _build_eps_model(cfg, model, schedule)
     sampler_config = SamplerConfig(
         variant=cfg.variant,
@@ -356,9 +354,8 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
         raise ConfigError(
             f"compare requires a shared mixture and seed, got mixtures {sorted(mixtures)} and seeds {sorted(seeds)}"
         )
-    model = _resolve_mixture(labeled[0][1])
     for _, cfg in labeled:  # every row is checked before the first run starts
-        _check_fits(cfg, model)
+        _prepare(cfg)
     rows = []
     for label, cfg in labeled:
         report, _ = run_experiment(cfg)

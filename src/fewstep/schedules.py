@@ -29,7 +29,7 @@ class NoiseSchedule:
             raise ValueError("betas must be a 1-D array")
         if betas.size < 2:
             raise ValueError(f"a schedule needs at least 2 timesteps, got {betas.size}")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
+        if not np.all((betas > 0.0) & (betas < 1.0)):  # written so that a NaN fails
             raise ValueError("all betas must lie strictly inside (0, 1)")
         alpha_bars = np.cumprod(1.0 - betas)
         # In float, a tiny first beta rounds alpha_bar to 1, a long schedule

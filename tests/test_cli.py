@@ -669,6 +669,12 @@ def test_an_output_on_a_symlink_loop_exits_one_before_any_run(flag, path, tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == ["loop"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which fails every write")
+def test_a_write_that_fails_exits_one(capsys):
+    assert run_cli("sample", "--batch", "8", "--steps", "2", "--out", "/dev/full") == (1, "")
+    assert capsys.readouterr().err == f"error: --out /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_a_config_file_that_is_also_the_mixture_exits_one(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"batch": 8, "mixture": str(path)}))
@@ -873,6 +879,15 @@ class TestCompareCommand:
                             "--steps", "4", "--sweep", sweep)
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_row_with_a_bad_noise_schedule_fails_before_any_run(self, monkeypatch, capsys):
+        # At this beta range alpha_bar underflows to 0 within 5,000 train steps but not within 10.
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        code, out = run_cli("compare", "--beta-start", "0.5", "--beta-end", "0.999", "--batch", "8", "--steps", "4",
+                            "--sweep", "num_train_steps=10,5000")
+        assert (code, out, calls) == (1, "", [])
+        assert capsys.readouterr().err == "error: bad noise schedule: all alpha_bars must lie strictly inside (0, 1)\n"
 
     def test_rejects_unknown_sweep_field(self):
         code, _ = run_cli("compare", "--sweep", "omega=1,2")

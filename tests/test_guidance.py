@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,11 @@ def test_rejects_mismatched_shapes():
         guide_interpolate(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ValueError, match="shapes"):
         guide_negative(np.zeros((2, 2)), np.zeros(4), 1.0)
+
+
+def test_rejects_shapes_that_would_broadcast():
+    with pytest.raises(ValueError, match=re.escape("prediction shapes differ: (4, 2) vs (1, 2)")):
+        guide_negative(np.zeros((4, 2)), np.zeros((1, 2)), 1.0)
 
 
 def test_negative_rejects_negative_scale():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,10 @@ class TestDensityAndScore:
         with pytest.raises(ValueError, match="dimension|shape"):
             skewed.score(linear_schedule, np.zeros(3), 100)
 
+    def test_rejects_a_short_vector_that_would_broadcast(self, skewed, linear_schedule):
+        with pytest.raises(ValueError, match=re.escape("expected vectors of dimension 2, got shape (1,)")):
+            skewed.score(linear_schedule, np.zeros(1), 100)
+
     def test_rejects_three_dimensional_input(self, skewed, linear_schedule):
         with pytest.raises(ValueError, match=r"expected shape \(batch, 2\)"):
             skewed.score(linear_schedule, np.zeros((1, 1, 2)), 100)
@@ -330,6 +335,10 @@ class TestConfig:
             mixture_from_config({"components": [{"weight": 1.0, "mean": [], "variance": 1.0}]})
         with pytest.raises(ValueError, match="JSON object"):
             mixture_from_config([1, 2])
+
+    def test_an_empty_component_list_names_the_components(self):
+        with pytest.raises(ValueError, match="^mixture config must list at least one component$"):
+            mixture_from_config({"components": []})
 
 
 def reference_oracle(model, ab, x):

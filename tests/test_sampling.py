@@ -82,6 +82,10 @@ class TestDenoiseStep:
                 lambda x, t: np.zeros(3), linear_schedule, np.zeros((1, 2)), 500, None
             )
 
+    def test_rejects_a_prediction_that_would_broadcast(self, linear_schedule):
+        with pytest.raises(ValueError, match=re.escape("eps model returned shape (1, 2) for state shape (4, 2)")):
+            denoise_step(lambda x, t: np.zeros((1, 2)), linear_schedule, np.zeros((4, 2)), 500, None)
+
     def test_non_finite_prediction_raises(self, linear_schedule):
         with pytest.raises(NumericalError, match="non-finite"):
             denoise_step(
@@ -113,6 +117,10 @@ class TestNoisify:
     def test_rejects_mismatched_noise(self, linear_schedule):
         with pytest.raises(ValueError, match="shape"):
             noisify(linear_schedule, np.zeros((1, 2)), 100, 200, np.zeros((1, 3)))
+
+    def test_rejects_noise_that_would_broadcast(self, linear_schedule):
+        with pytest.raises(ValueError, match=re.escape("noise shape (1, 2) does not match state shape (4, 2)")):
+            noisify(linear_schedule, np.zeros((4, 2)), 100, 200, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("t_from, t_to, bad", [(100, 1000, 1000), (-1, 5, -1)])
     def test_rejects_out_of_range_timesteps(self, linear_schedule, t_from, t_to, bad):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,11 @@ def test_forward_diffuse_shape_mismatch(linear_schedule):
         linear_schedule.forward_diffuse(np.zeros(3), 10, np.zeros(4))
 
 
+def test_forward_diffuse_rejects_noise_that_would_broadcast(linear_schedule):
+    with pytest.raises(ValueError, match=re.escape("x0 shape (4, 2) does not match noise shape (1, 2)")):
+        linear_schedule.forward_diffuse(np.zeros((4, 2)), 10, np.zeros((1, 2)))
+
+
 def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError, match="kind"):
         build_schedule("quadratic")
@@ -152,6 +159,14 @@ def test_direct_construction_validates_consistency():
 def test_direct_construction_rejects_bad_betas(betas, message):
     with pytest.raises(ValueError, match=message):
         NoiseSchedule(betas=np.array(betas))
+
+
+def test_a_nan_beta_is_rejected():
+    # Every comparison with NaN is False, so a check written as "any beta out of range" passes it.
+    betas = build_schedule().betas.copy()
+    betas[500] = np.nan
+    with pytest.raises(ValueError, match=re.escape("all betas must lie strictly inside (0, 1)")):
+        NoiseSchedule(betas=betas)
 
 
 @pytest.mark.parametrize("derived", [("alphas",), ("alpha_bars",), ("alphas", "alpha_bars"), ("kind",)])
