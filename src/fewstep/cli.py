@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -198,8 +198,11 @@ def _set_up_for(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve, 
     return _set_up(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end, cfg.steps, cfg.theta)
 
 
-def _prepare(cfg: ExperimentConfig) -> tuple[MixtureModel, NoiseSchedule, TimestepSchedule]:
-    """Every check a run makes before it starts, in order; returns the mixture, the noise schedule and the timesteps."""
+def _prepare(cfg: ExperimentConfig) -> Callable[[float], tuple[RunReport, SampleTrajectory]]:
+    """Every check a run makes and every part its config fixes, in order; returns the run, which takes its start time.
+
+    The run does only the seed's work, so no config error or overflowing compounding diagnostic waits for a sampler.
+    """
     path = Path(cfg.mixture)
     if cfg.mixture in MIXTURE_PRESETS:
         model = mixture_preset(cfg.mixture)
@@ -219,7 +222,40 @@ def _prepare(cfg: ExperimentConfig) -> tuple[MixtureModel, NoiseSchedule, Timest
         if label is not None and not 0 <= label < model.num_components:
             raise ConfigError(f"{flag} {label} out of range for a {model.num_components}-component mixture")
     schedule, _, timesteps = _set_up_for(cfg)
-    return model, schedule, timesteps
+    sampler_config = SamplerConfig(
+        variant=cfg.variant,
+        gamma=cfg.gamma,
+        clip=batch_clip(cfg.clip_method, shift=cfg.clip_shift, q=cfg.quantile_q, ceiling=cfg.quantile_ceiling),
+        clip_timing=cfg.clip_timing,
+        rng_seed=cfg.seed,
+    )
+    config_echo = cfg.to_dict()
+    if cfg.distill_omega is not None:
+        diag = compounding_scale(cfg.cfg_scale, cfg.distill_omega)
+        if not all(math.isfinite(v) for v in diag if v is not None):
+            raise NumericalError(f"non-finite compounding diagnostic: scale {diag.scale}, alpha {diag.alpha}")
+        config_echo["compounding"] = {"scale": diag.scale, "alpha": diag.alpha}
+    reference = model if cfg.condition is None else model.component(cfg.condition)
+    return functools.partial(_run, cfg, schedule, timesteps, _build_eps_model(cfg, model, schedule), sampler_config,
+                             reference, config_echo)
+
+
+def _run(cfg: ExperimentConfig, schedule: NoiseSchedule, timesteps: TimestepSchedule, eps_model, sampler_config,
+         reference: MixtureModel, config_echo: dict, start: float) -> tuple[RunReport, SampleTrajectory]:
+    """The initial noise, the sampler, the ground truth, the metrics and the report of a prepared run."""
+    initial = stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, reference.dim))
+    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model, initial)
+    truth = reference.sample_ground_truth(cfg.batch, stream(cfg.seed, STREAM_GROUND_TRUTH))
+    mean_error, cov_error = moments_error(trajectory.final, reference)
+    if reference.dim == 1:
+        w1 = wasserstein_1d(trajectory.final[:, 0], truth[:, 0])
+    else:
+        w1 = sliced_wasserstein(trajectory.final, truth, cfg.directions, rng_seed=cfg.seed)
+    if not all(math.isfinite(m) for m in (mean_error, cov_error, w1)):
+        raise NumericalError(f"non-finite metrics: mean {mean_error}, covariance {cov_error}, W1 {w1}")
+    report = RunReport(config_echo=config_echo, mean_error=mean_error, cov_error=cov_error, wasserstein1=w1,
+                       saturation_fraction=saturation_fraction(trajectory.final), wall_time=time.perf_counter() - start)
+    return report, trajectory
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
@@ -230,43 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     component when a condition is set, the full mixture otherwise.
     """
     start = time.perf_counter()
-    model, schedule, timesteps = _prepare(cfg)
-    eps_model = _build_eps_model(cfg, model, schedule)
-    sampler_config = SamplerConfig(
-        variant=cfg.variant,
-        gamma=cfg.gamma,
-        clip=batch_clip(cfg.clip_method, shift=cfg.clip_shift, q=cfg.quantile_q, ceiling=cfg.quantile_ceiling),
-        clip_timing=cfg.clip_timing,
-        rng_seed=cfg.seed,
-    )
-    initial = stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, model.dim))
-    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model, initial)
-
-    reference = model if cfg.condition is None else model.component(cfg.condition)
-    truth = reference.sample_ground_truth(cfg.batch, [cfg.seed, STREAM_GROUND_TRUTH])
-    mean_error, cov_error = moments_error(trajectory.final, reference)
-    if model.dim == 1:
-        w1 = wasserstein_1d(trajectory.final[:, 0], truth[:, 0])
-    else:
-        w1 = sliced_wasserstein(trajectory.final, truth, cfg.directions, rng_seed=cfg.seed)
-    if not all(math.isfinite(m) for m in (mean_error, cov_error, w1)):
-        raise NumericalError(f"non-finite metrics: mean {mean_error}, covariance {cov_error}, W1 {w1}")
-
-    config_echo = cfg.to_dict()
-    if cfg.distill_omega is not None:
-        diag = compounding_scale(cfg.cfg_scale, cfg.distill_omega)
-        if not all(math.isfinite(v) for v in diag if v is not None):
-            raise NumericalError(f"non-finite compounding diagnostic: scale {diag.scale}, alpha {diag.alpha}")
-        config_echo["compounding"] = {"scale": diag.scale, "alpha": diag.alpha}
-    report = RunReport(
-        config_echo=config_echo,
-        mean_error=mean_error,
-        cov_error=cov_error,
-        wasserstein1=w1,
-        saturation_fraction=saturation_fraction(trajectory.final),
-        wall_time=time.perf_counter() - start,
-    )
-    return report, trajectory
+    return _prepare(cfg)(start)
 
 
 def _write_text(flag: str, path: Optional[str], text: str, stdout) -> None:
@@ -354,11 +354,10 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
         raise ConfigError(
             f"compare requires a shared mixture and seed, got mixtures {sorted(mixtures)} and seeds {sorted(seeds)}"
         )
-    for _, cfg in labeled:  # every row is checked before the first run starts
-        _prepare(cfg)
+    runs = [(label, cfg, _prepare(cfg)) for label, cfg in labeled]  # every row is checked before the first run
     rows = []
-    for label, cfg in labeled:
-        report, _ = run_experiment(cfg)
+    for label, cfg, run in runs:
+        report, _ = run(time.perf_counter())
         rows.append([label, *(getattr(cfg, name) for name in COMPARE_CONFIG_COLUMNS),
                      *(getattr(report, name) for name in COMPARE_REPORT_COLUMNS)])
     header = ("label", *COMPARE_CONFIG_COLUMNS, *COMPARE_REPORT_COLUMNS)

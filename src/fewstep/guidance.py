@@ -12,7 +12,6 @@ __all__ = [
     "GuidanceConfig",
     "guide_interpolate",
     "guide_negative",
-    "CompoundingScale",
     "compounding_scale",
 ]
 

@@ -135,7 +135,7 @@ class MixtureModel:
         return -np.sqrt(1.0 - ab) * self._score(ab, x, rows)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
-        """Exact ancestral samples of shape ``(count, dim)``, deterministic per seed."""
+        """Exact ancestral samples of shape ``(count, dim)``, drawn from ``rng_seed``: a seed or a Generator."""
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         rng = np.random.default_rng(rng_seed)

@@ -616,7 +616,7 @@ def test_an_output_that_names_an_input_exits_one_before_any_run(source, command,
     content = {"batch": 8} if source == "--config" else MIXTURE_PRESETS["skewed-2d"]
     Path(target).write_text(json.dumps(content))
     calls = []
-    monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+    monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
     code, out = run_cli(*command, source, target, *output)
     assert (code, out, calls) == (1, "", [])
     assert capsys.readouterr().err == f"error: {source} {target} and {shown} name the same file\n"
@@ -635,7 +635,7 @@ def test_an_output_that_cannot_be_written_exits_one_before_any_run(argv, flag, p
     monkeypatch.chdir(tmp_path)
     Path("tables").mkdir()
     Path("afile").write_text("")
-    monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: pytest.fail("a run started"))
+    monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: pytest.fail("a run started"))
     assert run_cli(*argv, flag, path) == (1, "")
     assert capsys.readouterr().err == f"error: {flag} {path}: {os.strerror(code)}\n"
     assert sorted(str(p) for p in tmp_path.rglob("*")) == [str(tmp_path / "afile"), str(tmp_path / "tables")]
@@ -744,7 +744,7 @@ class TestCompareCommand:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.json").write_text(json.dumps({"steps": 2, "batch": 8}))
         calls = []
-        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
         code, out = run_cli("compare", "--config", "a.json", "--config", second)
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == f"error: --config a.json and --config {second} name the same file\n"
@@ -756,7 +756,7 @@ class TestCompareCommand:
         for name in ("b.json", "c/b.json", "b.json.json"):
             Path(name).write_text(json.dumps({"batch": 16, "steps": 2}))
         calls = []
-        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
         code, out = run_cli("compare", "--config", "b.json", "--config", "c/b.json", "--config", "b.json.json")
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == "error: compare rows need distinct labels, got ['b.json'] more than once\n"
@@ -770,7 +770,7 @@ class TestCompareCommand:
     ], ids=["theta=1,1", "theta=1,1.0", "batch=4,4", "exponent", "true-is-not-1"])
     def test_a_value_listed_twice_exits_one_before_any_run(self, sweep, error, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
         code, out = run_cli("compare", "--batch", "16", "--steps", "2", "--sweep", sweep)
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == f"error: {error}\n"
@@ -860,7 +860,7 @@ class TestCompareCommand:
 
     def test_a_grid_with_a_bad_combination_fails_before_any_run(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
         code, out = run_cli("compare", "--batch", "8", "--condition", "0", "--negative-condition", "1",
                             "--sweep", "cfg_mode=negative_prompt,interpolate")
         assert (code, out, calls) == (1, "", [])
@@ -874,7 +874,7 @@ class TestCompareCommand:
     def test_a_row_that_does_not_fit_the_mixture_fails_before_any_run(self, sweep, message, monkeypatch, capsys):
         # Only the mixture shows these rows to be invalid; the rows before them are valid.
         calls = []
-        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
         code, out = run_cli("compare", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
                             "--steps", "4", "--sweep", sweep)
         assert (code, out, calls) == (1, "", [])
@@ -883,11 +883,35 @@ class TestCompareCommand:
     def test_a_row_with_a_bad_noise_schedule_fails_before_any_run(self, monkeypatch, capsys):
         # At this beta range alpha_bar underflows to 0 within 5,000 train steps but not within 10.
         calls = []
-        monkeypatch.setattr(fewstep.cli, "run_experiment", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
         code, out = run_cli("compare", "--beta-start", "0.5", "--beta-end", "0.999", "--batch", "8", "--steps", "4",
                             "--sweep", "num_train_steps=10,5000")
         assert (code, out, calls) == (1, "", [])
         assert capsys.readouterr().err == "error: bad noise schedule: all alpha_bars must lie strictly inside (0, 1)\n"
+
+    def test_each_row_reads_its_mixture_and_builds_its_schedule_once(self, monkeypatch):
+        # The rows are checked before the first run and run as checked, so nothing is read or built twice.
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        reads, builds = [], []
+        load, build = fewstep.cli.load_json_object, fewstep.cli.build_schedule
+        monkeypatch.setattr(fewstep.cli, "load_json_object", lambda *args: reads.append(args) or load(*args))
+        monkeypatch.setattr(fewstep.cli, "build_schedule", lambda *args: builds.append(args) or build(*args))
+        fewstep.cli._set_up.cache_clear()
+        code, out = run_cli("compare", "--batch", "8", "--steps", "4", "--mixture", "tools/family-8d.json",
+                            "--sweep", "theta=0,0.5,1")
+        assert code == 0
+        assert [r[0] for r in parse_csv(out)[1]] == ["theta=0", "theta=0.5", "theta=1"]
+        assert (len(reads), len(builds)) == (3, 3)
+
+    @pytest.mark.parametrize("argv", [["compare", "--sweep", "variant=plain,gamma"], ["sample"]],
+                             ids=["compare", "sample"])
+    def test_an_overflowing_compounding_diagnostic_fails_before_any_sampler(self, argv, monkeypatch, capsys):
+        # The config alone fixes the diagnostic, so it is checked with the config, not after a run.
+        calls = []
+        monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args: calls.append(args))
+        code, out = run_cli(*argv, "--cfg-scale", "1e308", "--distill-omega", "8.5")
+        assert (code, out, calls) == (2, "", [])
+        assert capsys.readouterr().err == "numerical failure: non-finite compounding diagnostic: scale inf, alpha 0.0\n"
 
     def test_rejects_unknown_sweep_field(self):
         code, _ = run_cli("compare", "--sweep", "omega=1,2")

@@ -16,12 +16,18 @@ written there.
 The first line hashes each report whole. The second, ``numbers``, leaves out
 each report's ``config_echo``, so it stays equal across a change that renames,
 adds or removes config keys but moves no number.
+Both lines follow the BLAS kernel and NumPy's SIMD level, so they prove "same
+bytes" only between runs on one host. ``metrics`` collects every report
+metric of the calls by call name; ``tools/record_digest_numbers.py`` writes it
+to ``tools/digest_numbers.json``, and a tier-1 test compares a fresh run with
+that file at a relative bound that holds on any kernel.
 
 Usage, from the repository root, before and after a change:
 
     PYTHONPATH=src python3 tools/output_digest.py
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -38,7 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-from fewstep.cli import main, run_experiment  # noqa: E402
+from fewstep.cli import COMPARE_REPORT_COLUMNS, main, run_experiment  # noqa: E402
 from fewstep.config import ExperimentConfig  # noqa: E402
 
 # Reports echo the mixture path as given, so it is relative to the repository root.
@@ -72,6 +78,11 @@ ARGVS = (
 )
 
 full, numbers = hashlib.sha256(), hashlib.sha256()
+metrics = {}
+
+
+def record(call: str, fields: dict) -> None:
+    metrics[call] = {name: float(fields[name]) for name in COMPARE_REPORT_COLUMNS}
 
 
 def update(data: bytes) -> None:
@@ -79,44 +90,50 @@ def update(data: bytes) -> None:
     numbers.update(data)
 
 
-def update_report(text: str) -> None:
+def update_report(call: str, text: str) -> None:
     """Hash a report's JSON without ``wall_time``, and its ``config_echo`` into the first line only."""
     fields = json.loads(text)
+    record(call, fields)
     del fields["wall_time"]
     full.update(json.dumps(fields, sort_keys=True).encode())
     del fields["config_echo"]
     numbers.update(json.dumps(fields, sort_keys=True).encode())
 
 
-def run_cli(argv: list) -> str:
+def run_cli(call: str, argv: list) -> str:
     out = io.StringIO()
     if main(argv, stdout=out) != 0:
         sys.exit(f"fewstep {' '.join(argv)} failed")
+    if argv[0] == "compare":
+        for row in csv.DictReader(io.StringIO(out.getvalue())):
+            record(f"{call} {row['label']}", row)
     return out.getvalue()
 
 
-for configs in (WORKLOADS["sweep-512"], WORKLOADS["bulk-65536"], family_8d):
+for name, configs in (("sweep-512", WORKLOADS["sweep-512"]), ("bulk-65536", WORKLOADS["bulk-65536"]),
+                      ("family-8d", family_8d)):
     for seed in (0, 1):
-        for cfg in configs(seed):
+        for index, cfg in enumerate(configs(seed)):
             report, trajectory = run_experiment(cfg)
-            update_report(report.to_json())
+            update_report(f"{name} seed {seed} config {index}", report.to_json())
             for t, state in [*trajectory.states, (-1, trajectory.final)]:
                 update(str(t).encode() + state.tobytes())
-for argv in ARGVS:
-    update(run_cli(argv).encode())
+for index, argv in enumerate(ARGVS):
+    update(run_cli(f"ARGVS[{index}]", argv).encode())
 with tempfile.TemporaryDirectory() as tmp:
     report_file, trajectory_file, table_dir = (Path(tmp) / name for name in ("report.json", "trajectory.csv", "tables"))
-    run_cli(["sample", "--schedule-kind", "scaled_linear", "--mixture", "skewed-2d", "--cfg-mode", "interpolate",
-             "--condition", "1", "--distill-omega", "2", "--batch", "64", "--out", str(report_file),
-             "--trajectory-out", str(trajectory_file)])
-    update_report(report_file.read_text())
+    run_cli("sample", ["sample", "--schedule-kind", "scaled_linear", "--mixture", "skewed-2d", "--cfg-mode",
+                       "interpolate", "--condition", "1", "--distill-omega", "2", "--batch", "64",
+                       "--out", str(report_file), "--trajectory-out", str(trajectory_file)])
+    update_report("sample", report_file.read_text())
     update(trajectory_file.read_bytes())
-    run_cli(["schedule", "--steps", "6", "--theta", "0.5", "--out", str(table_dir)])
+    run_cli("schedule", ["schedule", "--steps", "6", "--theta", "0.5", "--out", str(table_dir)])
     for name in ("curve.csv", "schedules.csv"):
         update((table_dir / name).read_bytes())
     configs = {"plain.json": {"variant": "plain", "theta": 1}, "gamma-i.json": {"variant": "gamma_i", "gamma": 0.3}}
     for name, fields in configs.items():
         (Path(tmp) / name).write_text(json.dumps({"steps": 4, "mixture": "grid-2d", "batch": 64, **fields}))
-    update(run_cli(["compare", *(arg for name in configs for arg in ("--config", str(Path(tmp) / name)))]).encode())
+    argv = ["compare", *(arg for name in configs for arg in ("--config", str(Path(tmp) / name)))]
+    update(run_cli("compare --config", argv).encode())
 print(full.hexdigest())
 print(numbers.hexdigest(), "numbers")
