@@ -198,24 +198,27 @@ def _set_up_for(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve, 
     return _set_up(cfg.schedule_kind, cfg.num_train_steps, cfg.beta_start, cfg.beta_end, cfg.steps, cfg.theta)
 
 
-def _prepare(cfg: ExperimentConfig) -> Callable[[float], tuple[RunReport, SampleTrajectory]]:
-    """Every check a run makes and every part its config fixes, in order; returns the run, which takes its start time.
-
-    The run does only the seed's work, so no config error or overflowing compounding diagnostic waits for a sampler.
-    """
+def _mixture(cfg: ExperimentConfig) -> MixtureModel:
+    """The config's mixture: the shared preset, or the model its file holds, read and checked on every call."""
     path = Path(cfg.mixture)
     if cfg.mixture in MIXTURE_PRESETS:
-        model = mixture_preset(cfg.mixture)
-    elif not path.is_file():
+        return mixture_preset(cfg.mixture)
+    if not path.is_file():
         raise ConfigError(
             f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) nor an existing file"
         )
-    else:
-        mapping = load_json_object(path, "mixture file")  # its ConfigError is a ValueError, so read outside the try
-        try:
-            model = mixture_from_config(mapping)
-        except ValueError as exc:
-            raise ConfigError(f"bad mixture file {path}: {exc}") from None
+    mapping = load_json_object(path, "mixture file")  # its ConfigError is a ValueError, so read outside the try
+    try:
+        return mixture_from_config(mapping)
+    except ValueError as exc:
+        raise ConfigError(f"bad mixture file {path}: {exc}") from None
+
+
+def _prepare(cfg: ExperimentConfig, model: MixtureModel) -> Callable[[float], tuple[RunReport, SampleTrajectory]]:
+    """Every check a run on ``model`` makes and every part its config fixes, in order; returns the run.
+
+    The run takes its start time and does only the seed's work, so no check waits for a sampler.
+    """
     if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
         raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
     for label, flag in ((cfg.condition, "--condition"), (cfg.negative_condition, "--negative-condition")):
@@ -266,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
     component when a condition is set, the full mixture otherwise.
     """
     start = time.perf_counter()
-    return _prepare(cfg)(start)
+    return _prepare(cfg, _mixture(cfg))(start)
 
 
 def _write_text(flag: str, path: Optional[str], text: str, stdout) -> None:
@@ -354,7 +357,8 @@ def cmd_compare(labeled: list[tuple[str, ExperimentConfig]], out: Optional[str],
         raise ConfigError(
             f"compare requires a shared mixture and seed, got mixtures {sorted(mixtures)} and seeds {sorted(seeds)}"
         )
-    runs = [(label, cfg, _prepare(cfg)) for label, cfg in labeled]  # every row is checked before the first run
+    model = _mixture(labeled[0][1])  # the rows share it, so it is read once
+    runs = [(label, cfg, _prepare(cfg, model)) for label, cfg in labeled]  # every row is checked before the first run
     rows = []
     for label, cfg, run in runs:
         report, _ = run(time.perf_counter())

@@ -27,7 +27,7 @@ _BLOCK_VALUES = 1 << 16  # projected values per sample set in one block of slice
 
 def _finite(x, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} needs finite entries")
     return x
 

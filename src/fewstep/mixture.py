@@ -16,7 +16,9 @@ the log-sum-exp reduces over K, never over a short axis once per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,6 +28,8 @@ from .schedules import NoiseSchedule
 
 __all__ = ["MixtureModel", "MIXTURE_PRESETS", "mixture_preset", "mixture_from_config"]
 
+_FLOAT_MIN = np.finfo(np.float64).min
+
 
 @dataclass(frozen=True)
 class MixtureModel:
@@ -34,6 +38,7 @@ class MixtureModel:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
+    _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # component() by label
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -45,7 +50,7 @@ class MixtureModel:
             raise ValueError("means must have at least one dimension")
         if not weights.size == variances.size == means.shape[0]:
             raise ValueError("weights, means and variances must have one entry per component")
-        if not all(np.all(np.isfinite(arr)) for arr in (weights, means, variances)):
+        if not all(np.isfinite(arr).all() for arr in (weights, means, variances)):
             raise ValueError("weights, means and variances must be finite")
         if np.any(weights <= 0.0) or np.any(weights > 1.0):
             raise ValueError("weights must lie in (0, 1]")
@@ -72,13 +77,15 @@ class MixtureModel:
         return slice(label, label + 1)
 
     def component(self, label: int) -> "MixtureModel":
-        """Restrict to one component, the conditional model for that label."""
+        """Restrict to one component, the conditional model for that label; built once per label and shared."""
         rows = self._rows(label)
-        return MixtureModel(weights=np.ones(1), means=self.means[rows], variances=self.variances[rows])
+        if rows.start not in self._components:
+            self._components[rows.start] = MixtureModel(np.ones(1), self.means[rows], self.variances[rows])
+        return self._components[rows.start]
 
     def _diffused(self, ab: float, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
         # Means and variances of the components in ``rows`` at alpha-bar ``ab``.
-        return np.sqrt(ab) * self.means[rows], ab * self.variances[rows] + (1.0 - ab)
+        return math.sqrt(ab) * self.means[rows], ab * self.variances[rows] + (1.0 - ab)
 
     def diffused_params(self, schedule: NoiseSchedule, t: int) -> "MixtureModel":
         """Exact mixture parameters after diffusing to timestep ``t``."""
@@ -114,7 +121,7 @@ class MixtureModel:
         ll = (np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * variances))[:, None] - (
             0.5 * np.einsum("kdb,kdb->kb", diff, diff) / variances[:, None]
         )
-        peak = ll.max(axis=0).clip(min=np.finfo(np.float64).min)
+        peak = ll.max(axis=0).clip(min=_FLOAT_MIN)
         shifted = np.exp(ll - peak)
         return diff, shifted, shifted.sum(axis=0), peak
 
@@ -132,7 +139,7 @@ class MixtureModel:
         """
         rows = slice(None) if condition is None else self._rows(condition)
         ab = schedule.alpha_bar_at(t)
-        return -np.sqrt(1.0 - ab) * self._score(ab, x, rows)
+        return -math.sqrt(1.0 - ab) * self._score(ab, x, rows)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
         """Exact ancestral samples of shape ``(count, dim)``, drawn from ``rng_seed``: a seed or a Generator."""
@@ -146,7 +153,7 @@ class MixtureModel:
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("the mixture oracle requires finite input")
     if x.ndim == 1:
         if x.shape[0] != dim:
@@ -174,8 +181,9 @@ MIXTURE_PRESETS = {
 }
 
 
+@functools.cache
 def mixture_preset(name: str) -> MixtureModel:
-    """Build a built-in mixture by name; each preset is a mapping in the mixture-file format."""
+    """A built-in mixture by name, built once per process and shared; each preset is a mixture-file mapping."""
     if name not in MIXTURE_PRESETS:
         raise ValueError(f"unknown mixture preset {name!r}, expected one of {sorted(MIXTURE_PRESETS)}")
     return mixture_from_config(MIXTURE_PRESETS[name])

@@ -11,6 +11,7 @@ re-noising, so the terminal output is a clean-state estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -102,15 +103,15 @@ def denoise_step(
     eps = np.asarray(eps_model(x, int(t_from)), dtype=np.float64)
     if eps.shape != x.shape:
         raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
-    if not np.all(np.isfinite(eps)):
+    if not np.isfinite(eps).all():
         raise NumericalError(f"non-finite noise prediction at timestep {t_from}")
-    x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+    x0_hat = (x - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
     if clip is not None:
-        if not np.all(np.isfinite(x0_hat)):
+        if not np.isfinite(x0_hat).all():
             raise NumericalError(f"non-finite clean-state estimate at timestep {t_from}")
         x0_hat = clip(x0_hat)
     x = x0_hat if t_to is None else schedule.forward_diffuse(x0_hat, t_to, eps)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError(f"non-finite state after the step from timestep {t_from}")
     return x
 
@@ -135,7 +136,7 @@ def noisify(
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state shape {x.shape}")
-    return np.sqrt(ratio) * x + np.sqrt(1.0 - ratio) * noise
+    return math.sqrt(ratio) * x + math.sqrt(1.0 - ratio) * noise
 
 
 def _intermediate_target(
@@ -178,7 +179,7 @@ def run_sampler(
     x = np.asarray(initial, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"initial state must have shape (batch, dim), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError("initial state contains non-finite entries")
 
     steps = timesteps.steps

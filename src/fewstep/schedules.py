@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ class NoiseSchedule:
         if x0.shape != noise.shape:
             raise ValueError(f"x0 shape {x0.shape} does not match noise shape {noise.shape}")
         ab = self.alpha_bar_at(t)
-        return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
+        return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * noise
 
 
 def _cosine_alpha_bars(num_steps: int, offset: float = 0.008) -> np.ndarray:

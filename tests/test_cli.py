@@ -890,7 +890,7 @@ class TestCompareCommand:
         assert capsys.readouterr().err == "error: bad noise schedule: all alpha_bars must lie strictly inside (0, 1)\n"
 
     def test_each_row_reads_its_mixture_and_builds_its_schedule_once(self, monkeypatch):
-        # The rows are checked before the first run and run as checked, so nothing is read or built twice.
+        # The rows share one mixture file, read once per call; each row's schedule is built once, when it is checked.
         monkeypatch.chdir(Path(__file__).resolve().parents[1])
         reads, builds = [], []
         load, build = fewstep.cli.load_json_object, fewstep.cli.build_schedule
@@ -901,7 +901,7 @@ class TestCompareCommand:
                             "--sweep", "theta=0,0.5,1")
         assert code == 0
         assert [r[0] for r in parse_csv(out)[1]] == ["theta=0", "theta=0.5", "theta=1"]
-        assert (len(reads), len(builds)) == (3, 3)
+        assert (len(reads), len(builds)) == (1, 3)
 
     @pytest.mark.parametrize("argv", [["compare", "--sweep", "variant=plain,gamma"], ["sample"]],
                              ids=["compare", "sample"])

@@ -234,8 +234,9 @@ class TestEpsilonPrediction:
                 assert np.array_equal(got, expected)
 
     def test_builds_no_model_per_call(self, monkeypatch):
-        # A guided run builds the preset and its reference component, however
-        # many noise predictions its sampler asks for.
+        # The first guided run on a preset builds it and its reference component, however many
+        # noise predictions its sampler asks for; a later run shares both and builds nothing.
+        mixture_preset.cache_clear()
         built = []
         post_init = MixtureModel.__post_init__
 
@@ -252,7 +253,32 @@ class TestEpsilonPrediction:
                 negative_condition=1, steps=steps, batch=16,
             ))
             counts[steps] = len(built)
-        assert counts[4] == counts[8] == 2
+        assert (counts[4], counts[8]) == (2, 0)
+
+    def test_shared_presets_and_components_are_safe_to_share(self):
+        assert mixture_preset("skewed-2d") is mixture_preset("skewed-2d")
+        model = mixture_preset("skewed-2d")
+        assert model.component(1) is model.component(1)
+        for shared in (model, model.component(1)):
+            for arr in (shared.weights, shared.means, shared.variances):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        a = ExperimentConfig(mixture="skewed-2d", cfg_mode="negative_prompt", condition=0, negative_condition=1,
+                             variant="gamma_i", clip_method="tanh-balance", steps=6, batch=64, seed=5)
+        b = ExperimentConfig(mixture="skewed-2d", cfg_mode="interpolate", condition=2, clip_method="quantile",
+                             variant="gamma", steps=4, batch=32, seed=5)
+
+        def report_bytes(cfg):
+            report, trajectory = run_experiment(cfg)
+            report.wall_time = 0.0
+            return report.to_json(), trajectory.final.tobytes()
+
+        fresh = {}
+        for cfg in (b, a):
+            mixture_preset.cache_clear()
+            fresh[cfg] = report_bytes(cfg)
+        # A ran last on a fresh preset; B, then A again, share its instance and its components.
+        assert [report_bytes(cfg) for cfg in (b, a)] == [fresh[b], fresh[a]]
 
     def test_recovers_forward_noise_single_gaussian(self, linear_schedule):
         # For a one-component model with tiny variance, diffusing a sample of

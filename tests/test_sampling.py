@@ -142,6 +142,29 @@ class TestNoisify:
         assert x_t2.var() == pytest.approx(1.0 - ab2, rel=0.02)
 
 
+@pytest.mark.parametrize("kind", ["linear", "scaled_linear", "cosine"])
+def test_scalar_coefficients_match_numpy_square_roots_bitwise(kind):
+    # The steps take sqrt(ab) and sqrt(1 - ab) of Python floats with math.sqrt; at every timestep
+    # the results equal the np.sqrt expressions they replaced, byte for byte.
+    schedule = build_schedule(kind)
+    rng = np.random.default_rng(12)
+    x, eps = rng.standard_normal((2, 64, 3))
+    alpha_bars = [schedule.alpha_bar_at(t) for t in range(schedule.num_steps)]
+    for t, ab in enumerate(alpha_bars):
+        diffused = np.sqrt(ab) * x + np.sqrt(1.0 - ab) * eps
+        assert schedule.forward_diffuse(x, t, eps).tobytes() == diffused.tobytes()
+        x0_hat = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+        assert denoise_step(lambda _x, _t: eps, schedule, x, t, None).tobytes() == x0_hat.tobytes()
+        if t == 0:
+            continue
+        ab_to = alpha_bars[t - 1]
+        stepped = np.sqrt(ab_to) * x0_hat + np.sqrt(1.0 - ab_to) * eps
+        assert denoise_step(lambda _x, _t: eps, schedule, x, t, t - 1).tobytes() == stepped.tobytes()
+        ratio = ab / ab_to
+        noised = np.sqrt(ratio) * x + np.sqrt(1.0 - ratio) * eps
+        assert noisify(schedule, x, t - 1, t, eps).tobytes() == noised.tobytes()
+
+
 class TestLoopIsTheDocumentedSteps:
     """``run_sampler`` is a loop of ``denoise_step`` and ``noisify``, and nothing else."""
 
