@@ -167,19 +167,14 @@ def _unwritable(path: str) -> Optional[int]:
     return errno.EISDIR if os.path.isdir(target) else None
 
 
-def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, schedule: NoiseSchedule):
-    """Compose oracle predictions with the configured guidance."""
-
-    def predict(x, t, label):
-        return model.epsilon_prediction(schedule, x, t, condition=label)
-
+def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, reference: MixtureModel, schedule: NoiseSchedule):
+    """Compose the reference's predictions with the guidance's other side, resolved once: mixture or negative label."""
     if cfg.cfg_mode == "none":
-        return lambda x, t: predict(x, t, cfg.condition)
-    if cfg.cfg_mode == "interpolate":
-        combine, other = guide_interpolate, None
-    else:
-        combine, other = guide_negative, cfg.negative_condition
-    return lambda x, t: combine(predict(x, t, cfg.condition), predict(x, t, other), cfg.cfg_scale)
+        return lambda x, t: reference.epsilon_prediction(schedule, x, t)
+    combine = guide_interpolate if cfg.cfg_mode == "interpolate" else guide_negative
+    other = model if cfg.negative_condition is None else model.component(cfg.negative_condition)
+    return lambda x, t: combine(reference.epsilon_prediction(schedule, x, t),
+                                other.epsilon_prediction(schedule, x, t), cfg.cfg_scale)
 
 
 @functools.lru_cache(maxsize=1)
@@ -239,8 +234,8 @@ def _prepare(cfg: ExperimentConfig, model: MixtureModel) -> Callable[[float], tu
             raise NumericalError(f"non-finite compounding diagnostic: scale {diag.scale}, alpha {diag.alpha}")
         config_echo["compounding"] = {"scale": diag.scale, "alpha": diag.alpha}
     reference = model if cfg.condition is None else model.component(cfg.condition)
-    return functools.partial(_run, cfg, schedule, timesteps, _build_eps_model(cfg, model, schedule), sampler_config,
-                             reference, config_echo)
+    return functools.partial(_run, cfg, schedule, timesteps, _build_eps_model(cfg, model, reference, schedule),
+                             sampler_config, reference, config_echo)
 
 
 def _run(cfg: ExperimentConfig, schedule: NoiseSchedule, timesteps: TimestepSchedule, eps_model, sampler_config,

@@ -3,12 +3,14 @@
 Components are isotropic, so the diffused mixture at timestep ``t`` stays a
 mixture with means ``sqrt(ab_t) * mu_k`` and variances ``ab_t * var_k + (1 - ab_t)``,
 and the score is available in closed form. Component indices double as
-condition labels for guidance experiments: conditioning restricts the model to
-a single component, the unconditional model is the full mixture.
+condition labels for guidance experiments: the conditional model of a label is
+its component, a one-component model that ``component`` builds once and shares,
+and the unconditional model is the full mixture. A conditioned noise prediction
+is that component model's own prediction; the oracle has no row-slice path.
 
-A noise prediction diffuses the selected components as plain arrays and builds
-no model. A single component, as in every conditioned prediction, has the score
-``(mu' - x) / var'``. Several components go through one kernel, shared with
+A noise prediction diffuses the model's components as plain arrays and builds
+no model. A single component has the score ``(mu' - x) / var'``. Several
+components go through one kernel, shared with
 ``log_density``, that lays the offsets ``mu' - x`` out component-major as
 ``(K, d, batch)``: squared distances and the weighted pull are ``einsum``s and
 the log-sum-exp reduces over K, never over a short axis once per row.
@@ -70,22 +72,19 @@ class MixtureModel:
     def num_components(self) -> int:
         return int(self.weights.size)
 
-    def _rows(self, label: int) -> slice:
+    def component(self, label: int) -> "MixtureModel":
+        """Restrict to one component, the conditional model for that label; built once per label and shared."""
         label = int(label)
         if not 0 <= label < self.num_components:
             raise ValueError(f"unknown condition label {label}, model has {self.num_components} components")
-        return slice(label, label + 1)
+        if label not in self._components:
+            rows = slice(label, label + 1)
+            self._components[label] = MixtureModel(np.ones(1), self.means[rows], self.variances[rows])
+        return self._components[label]
 
-    def component(self, label: int) -> "MixtureModel":
-        """Restrict to one component, the conditional model for that label; built once per label and shared."""
-        rows = self._rows(label)
-        if rows.start not in self._components:
-            self._components[rows.start] = MixtureModel(np.ones(1), self.means[rows], self.variances[rows])
-        return self._components[rows.start]
-
-    def _diffused(self, ab: float, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        # Means and variances of the components in ``rows`` at alpha-bar ``ab``.
-        return math.sqrt(ab) * self.means[rows], ab * self.variances[rows] + (1.0 - ab)
+    def _diffused(self, ab: float) -> tuple[np.ndarray, np.ndarray]:
+        # Means and variances of the components at alpha-bar ``ab``.
+        return math.sqrt(ab) * self.means, ab * self.variances + (1.0 - ab)
 
     def diffused_params(self, schedule: NoiseSchedule, t: int) -> "MixtureModel":
         """Exact mixture parameters after diffusing to timestep ``t``."""
@@ -103,10 +102,10 @@ class MixtureModel:
         """Gradient of the diffused mixture's log-density at ``x``."""
         return self._score(schedule.alpha_bar_at(t), x)
 
-    def _score(self, ab: float, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        # Score at alpha-bar ``ab`` of one component's density, or of the whole mixture's.
+    def _score(self, ab: float, x: np.ndarray) -> np.ndarray:
+        # Score of the diffused density at alpha-bar ``ab``.
         x, squeeze = _as_batch(x, self.dim)
-        means, variances = self._diffused(ab, rows)
+        means, variances = self._diffused(ab)
         if variances.size == 1:
             out = (means[0] - x) / variances[0]
         else:
@@ -134,12 +133,12 @@ class MixtureModel:
     ) -> np.ndarray:
         """Exact noise prediction ``-sqrt(1 - ab_t) * score`` at timestep ``t``.
 
-        With ``condition`` set, the score is that of the named component's
-        diffused density instead of the full mixture's.
+        With ``condition`` set, it is the prediction of ``component(condition)``.
         """
-        rows = slice(None) if condition is None else self._rows(condition)
+        if condition is not None:
+            return self.component(condition).epsilon_prediction(schedule, x, t)
         ab = schedule.alpha_bar_at(t)
-        return -math.sqrt(1.0 - ab) * self._score(ab, x, rows)
+        return -math.sqrt(1.0 - ab) * self._score(ab, x)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
         """Exact ancestral samples of shape ``(count, dim)``, drawn from ``rng_seed``: a seed or a Generator."""

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import fewstep.cli
 from fewstep.cli import main, run_experiment
 from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_json_object
-from fewstep.mixture import MIXTURE_PRESETS
+from fewstep.guidance import guide_interpolate, guide_negative
+from fewstep.mixture import MIXTURE_PRESETS, mixture_preset
 
 
 def run_cli(*argv):
@@ -282,6 +283,18 @@ class TestSampleCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "usage: fewstep" in err and "error:" in err
+
+    def test_a_negative_clip_shift_runs_in_both_working_spellings(self):
+        # After a space argparse reads an exponent-form "-1e-3" as a flag, so that form is written with "=".
+        reports = []
+        for argv in (("--clip-shift=-1e-3",), ("--clip-shift", "-0.001")):
+            code, out = run_cli("sample", "--batch", "8", "--steps", "4", "--clip-method", "tanh-balance", *argv)
+            assert code == 0
+            report = json.loads(out)
+            del report["wall_time"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["config_echo"]["clip_shift"] == -0.001
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -965,6 +978,35 @@ class TestRunExperiment:
         cfg = ExperimentConfig(steps=4, batch=64, mixture="grid-2d")
         report, _ = run_experiment(cfg)
         assert report.wasserstein1 > 0.0
+
+    # A run's sampler gets guide_*(conditional, other): the condition's prediction, or the mixture's without
+    # one, against the negative label's, or the mixture's without one.
+    @pytest.mark.parametrize("fields, combine, other", [
+        ({}, None, None),
+        ({"condition": 2}, None, None),
+        ({"cfg_mode": "interpolate", "condition": 1}, guide_interpolate, None),
+        ({"cfg_mode": "negative_prompt", "condition": 0, "negative_condition": 1}, guide_negative, 1),
+        ({"cfg_mode": "negative_prompt", "condition": 0}, guide_negative, None),
+    ], ids=["none", "none-conditioned", "interpolate", "negative-label", "negative-mixture"])
+    def test_guidance_composes_the_oracle_predictions(self, fields, combine, other, monkeypatch):
+        captured, run_sampler = [], fewstep.cli.run_sampler
+
+        def spy(config, schedule, timesteps, eps_model, initial):
+            captured.append((schedule, eps_model))
+            return run_sampler(config, schedule, timesteps, eps_model, initial)
+
+        monkeypatch.setattr(fewstep.cli, "run_sampler", spy)
+        cfg = ExperimentConfig(mixture="skewed-2d", steps=4, batch=16, **fields)
+        run_experiment(cfg)
+        ((schedule, eps_model),) = captured
+        model = mixture_preset("skewed-2d")
+        x = np.random.default_rng(7).normal(size=(32, 2))
+        for t in (0, 250, 700, 999):
+            expected = model.epsilon_prediction(schedule, x, t, condition=cfg.condition)
+            if combine is not None:
+                expected = combine(expected, model.epsilon_prediction(schedule, x, t, condition=other), cfg.cfg_scale)
+            got = eps_model(x, t)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestSetUpCache:

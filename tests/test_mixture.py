@@ -234,8 +234,9 @@ class TestEpsilonPrediction:
                 assert np.array_equal(got, expected)
 
     def test_builds_no_model_per_call(self, monkeypatch):
-        # The first guided run on a preset builds it and its reference component, however many
-        # noise predictions its sampler asks for; a later run shares both and builds nothing.
+        # The first guided run on a preset builds it, its reference component and its negative
+        # label's component, however many noise predictions its sampler asks for; a later run
+        # shares all three and builds nothing.
         mixture_preset.cache_clear()
         built = []
         post_init = MixtureModel.__post_init__
@@ -253,7 +254,7 @@ class TestEpsilonPrediction:
                 negative_condition=1, steps=steps, batch=16,
             ))
             counts[steps] = len(built)
-        assert (counts[4], counts[8]) == (2, 0)
+        assert (counts[4], counts[8]) == (3, 0)
 
     def test_shared_presets_and_components_are_safe_to_share(self):
         assert mixture_preset("skewed-2d") is mixture_preset("skewed-2d")

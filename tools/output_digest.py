@@ -8,6 +8,9 @@ runs two clips at both clip timings. Every benchmark mixture has at most two
 dimensions, where any order of a row mean's products rounds alike, so the runs
 also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
 under guidance, with each of the three clips, at the same two seeds.
+The reports of two ``sample`` calls on ``skewed-2d`` follow, set-ups that no
+other call runs: a condition without guidance, and ``negative_prompt`` without
+``--negative-condition``, which guides against the full mixture.
 Last come the files of one ``sample --out --trajectory-out`` call (with
 ``--distill-omega`` on a ``scaled_linear`` schedule) and of one
 ``schedule --out DIR`` call, written under a temporary directory, and the
@@ -76,6 +79,11 @@ ARGVS = (
      "--negative-condition", "1", "--batch", "64", "--variant", "gamma_i",
      "--sweep", "clip_method=tanh-balance,quantile", "--sweep", "clip_timing=every-step,final-only"],
 )
+SAMPLE_ARGVS = {
+    "sample none condition": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--condition", "2", "--batch", "64"],
+    "sample negative_prompt mixture": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode",
+                                       "negative_prompt", "--condition", "0", "--batch", "64"],
+}
 
 full, numbers = hashlib.sha256(), hashlib.sha256()
 metrics = {}
@@ -120,6 +128,8 @@ for name, configs in (("sweep-512", WORKLOADS["sweep-512"]), ("bulk-65536", WORK
                 update(str(t).encode() + state.tobytes())
 for index, argv in enumerate(ARGVS):
     update(run_cli(f"ARGVS[{index}]", argv).encode())
+for call, argv in SAMPLE_ARGVS.items():
+    update_report(call, run_cli(call, argv))
 with tempfile.TemporaryDirectory() as tmp:
     report_file, trajectory_file, table_dir = (Path(tmp) / name for name in ("report.json", "trajectory.csv", "tables"))
     run_cli("sample", ["sample", "--schedule-kind", "scaled_linear", "--mixture", "skewed-2d", "--cfg-mode",
