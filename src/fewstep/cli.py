@@ -242,7 +242,8 @@ def _run(cfg: ExperimentConfig, schedule: NoiseSchedule, timesteps: TimestepSche
          reference: MixtureModel, config_echo: dict, start: float) -> tuple[RunReport, SampleTrajectory]:
     """The initial noise, the sampler, the ground truth, the metrics and the report of a prepared run."""
     initial = stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, reference.dim))
-    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model, initial)
+    # Only --trajectory-out reads visited states, and only those of the first chains.
+    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model, initial, chains=TRAJECTORY_CHAIN_LIMIT)
     truth = reference.sample_ground_truth(cfg.batch, stream(cfg.seed, STREAM_GROUND_TRUTH))
     mean_error, cov_error = moments_error(trajectory.final, reference)
     if reference.dim == 1:
@@ -261,7 +262,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
 
     Sampling always follows the adaptive schedule; ``theta=1`` reduces it to
     the equidistant baseline. The reference distribution is the conditioned
-    component when a condition is set, the full mixture otherwise.
+    component when a condition is set, the full mixture otherwise. The
+    trajectory's visited states hold the first ``TRAJECTORY_CHAIN_LIMIT``
+    chains, the ones ``sample --trajectory-out`` writes; its ``final`` holds
+    every chain.
     """
     start = time.perf_counter()
     return _prepare(cfg, _mixture(cfg))(start)

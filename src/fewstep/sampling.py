@@ -71,8 +71,10 @@ class SampleTrajectory:
     """States visited while sampling plus the terminal clean-state estimate.
 
     ``states`` lists ``(timestep, state)`` pairs in visit order, including the
-    intermediate denoise targets of the gamma variants; ``final`` has no
-    timestep, it lives on the data axis.
+    intermediate denoise targets of the gamma variants; each state holds every
+    chain, or only the first ``chains`` rows when :func:`run_sampler` was given
+    ``chains``. ``final`` always holds every chain; it has no timestep, it lives
+    on the data axis.
     """
 
     states: List[Tuple[int, np.ndarray]]
@@ -158,6 +160,7 @@ def run_sampler(
     timesteps: TimestepSchedule,
     eps_model: Callable[[np.ndarray, int], np.ndarray],
     initial: np.ndarray,
+    chains: Optional[int] = None,
 ) -> SampleTrajectory:
     """Run one batch of chains along a timestep schedule.
 
@@ -171,16 +174,21 @@ def run_sampler(
         initial: full-noise start, shape ``(batch, dim)``; one chain is
             ``initial[None, :]``. Rows are independent chains sharing one
             vectorized noise stream.
+        chains: how many leading chains each visited state keeps, as its own
+            copy, so the full batch of a passed step can be freed; ``None``
+            keeps every chain.
 
     Returns:
-        The visited states and the terminal clean-state estimate, each shaped
-        like ``initial``.
+        The visited states, each ``(chains, dim)`` or shaped like ``initial``,
+        and the terminal clean-state estimate, shaped like ``initial``.
     """
     x = np.asarray(initial, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"initial state must have shape (batch, dim), got {x.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("initial state contains non-finite entries")
+    if chains is not None and chains < 1:
+        raise ValueError(f"chains must be at least 1, got {chains}")
 
     steps = timesteps.steps
     if config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance:
@@ -193,15 +201,15 @@ def run_sampler(
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
 
-    # Every later state is a fresh array; only the first can alias ``initial``.
-    states = [(int(steps[0]), x.copy())]
+    # Each state is its own copy of the kept rows, so none aliases ``initial`` or pins a full batch.
+    states = [(int(steps[0]), x[:chains].copy())]
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
         x = denoise_step(eps_model, schedule, x, t_prev, mid, step_clip)
         if mid != t_anchor:
-            states.append((mid, x))
+            states.append((mid, x[:chains].copy()))
             x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
-        states.append((t_anchor, x))
+        states.append((t_anchor, x[:chains].copy()))
     final = denoise_step(eps_model, schedule, x, int(steps[-1]), None, config.clip)
     return SampleTrajectory(states=states, final=final)

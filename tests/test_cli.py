@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fewstep.cli
-from fewstep.cli import main, run_experiment
+from fewstep.cli import TRAJECTORY_CHAIN_LIMIT, main, run_experiment
 from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_json_object
 from fewstep.guidance import guide_interpolate, guide_negative
 from fewstep.mixture import MIXTURE_PRESETS, mixture_preset
@@ -974,6 +975,30 @@ class TestRunExperiment:
         assert trajectory.final.mean() == pytest.approx(0.6, abs=0.05)
         assert report.mean_error < 0.05
 
+    def test_the_trajectory_keeps_the_written_chains_and_every_final_one(self):
+        _, trajectory = run_experiment(ExperimentConfig(steps=4, batch=64, variant="gamma", mixture="grid-2d"))
+        assert {state.shape for _, state in trajectory.states} == {(TRAJECTORY_CHAIN_LIMIT, 2)}
+        assert trajectory.final.shape == (64, 2)
+
+    def test_run_memory_does_not_grow_with_the_step_count(self):
+        def traced_peak(cfg):
+            run_experiment(cfg)  # warms the set-up cache and the preset's models
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+
+        cfg = ExperimentConfig(mixture="skewed-2d", cfg_mode="negative_prompt", condition=0, negative_condition=1,
+                               clip_method="tanh-balance", batch=4096, steps=4)
+        state_bytes = cfg.batch * 2 * np.dtype(np.float64).itemsize
+        assert abs(traced_peak(dataclasses.replace(cfg, steps=16)) - traced_peak(cfg)) < state_bytes
+
     def test_multivariate_runs_use_the_sliced_distance(self):
         cfg = ExperimentConfig(steps=4, batch=64, mixture="grid-2d")
         report, _ = run_experiment(cfg)
@@ -991,9 +1016,9 @@ class TestRunExperiment:
     def test_guidance_composes_the_oracle_predictions(self, fields, combine, other, monkeypatch):
         captured, run_sampler = [], fewstep.cli.run_sampler
 
-        def spy(config, schedule, timesteps, eps_model, initial):
+        def spy(config, schedule, timesteps, eps_model, initial, chains=None):
             captured.append((schedule, eps_model))
-            return run_sampler(config, schedule, timesteps, eps_model, initial)
+            return run_sampler(config, schedule, timesteps, eps_model, initial, chains=chains)
 
         monkeypatch.setattr(fewstep.cli, "run_sampler", spy)
         cfg = ExperimentConfig(mixture="skewed-2d", steps=4, batch=16, **fields)
@@ -1020,9 +1045,9 @@ class TestSetUpCache:
         """The (schedule, curve, timesteps) that each run_experiment call hands its sampler."""
         seen, run_sampler = [], fewstep.cli.run_sampler
 
-        def spy(config, schedule, timesteps, eps_model, initial):
+        def spy(config, schedule, timesteps, eps_model, initial, chains=None):
             seen.append((schedule, timesteps.curve, timesteps))
-            return run_sampler(config, schedule, timesteps, eps_model, initial)
+            return run_sampler(config, schedule, timesteps, eps_model, initial, chains=chains)
 
         monkeypatch.setattr(fewstep.cli, "run_sampler", spy)
         fewstep.cli._set_up.cache_clear()

@@ -345,6 +345,26 @@ class TestTrajectory:
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
+    @pytest.mark.parametrize("clip_timing", ["every-step", "final-only"])
+    @pytest.mark.parametrize("variant", ["plain", "gamma", "gamma_i"])
+    def test_chains_keeps_own_copies_of_the_leading_rows(self, linear_schedule, default_curve, variant, clip_timing):
+        mixture = mixture_preset("skewed-2d")
+
+        def eps_model(x, t):
+            cond = mixture.epsilon_prediction(linear_schedule, x, t, condition=0)
+            return guide_negative(cond, mixture.epsilon_prediction(linear_schedule, x, t, condition=1), 7.5)
+
+        timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
+        config = SamplerConfig(variant=variant, clip=batch_clip("tanh-balance"), clip_timing=clip_timing, rng_seed=3)
+        initial = np.random.default_rng(11).standard_normal((64, 2))
+        whole = run_sampler(config, linear_schedule, timesteps, eps_model, initial)
+        kept = run_sampler(config, linear_schedule, timesteps, eps_model, initial, chains=5)
+        assert [t for t, _ in kept.states] == [t for t, _ in whole.states]
+        for (_, got), (_, want) in zip(kept.states, whole.states):
+            assert got.shape == (5, 2) and got.tobytes() == want[:5].tobytes()
+            assert got.base is None  # no view pins the full batch
+        assert kept.final.tobytes() == whole.final.tobytes()
+
 
 class TestConvergence:
     @pytest.mark.parametrize("n", [8, 32])
@@ -372,6 +392,14 @@ class TestConvergence:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("chains", [0, -1])
+    def test_chains_must_keep_a_chain(self, linear_schedule, tight_gaussian, chains):
+        with pytest.raises(ValueError, match=f"chains must be at least 1, got {chains}"):
+            run_sampler(
+                SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4),
+                make_eps_model(tight_gaussian, linear_schedule), np.zeros((2, 1)), chains=chains,
+            )
+
     def test_gamma_i_requires_bound_curve(self, linear_schedule, tight_gaussian):
         bare = TimestepSchedule(
             steps=[999, 500, 0], provenance=(EQUIDISTANT, IMPORTANCE, EQUIDISTANT)

@@ -1,8 +1,10 @@
 """Print two SHA-256 digests over fewstep's outputs, to show that a refactor changes no byte.
 
-Both cover the report JSON (minus ``wall_time``), every visited state and the
-final state of each ``sweep-512`` and ``bulk-65536`` benchmark config at seeds
-0 and 1, and the stdout of six fixed ``schedule`` and ``compare`` calls; one
+Both cover the report JSON (minus ``wall_time``), the first
+``TRAJECTORY_CHAIN_LIMIT`` chains of every visited state (the ones
+``run_experiment`` keeps), and every chain of the final state, of each
+``sweep-512`` and ``bulk-65536`` benchmark config at seeds 0 and 1, and the
+stdout of six fixed ``schedule`` and ``compare`` calls; one
 crosses two ``--sweep`` flags, one runs both exposure clip orders, and the last
 runs two clips at both clip timings. Every benchmark mixture has at most two
 dimensions, where any order of a row mean's products rounds alike, so the runs
@@ -47,7 +49,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-from fewstep.cli import COMPARE_REPORT_COLUMNS, main, run_experiment  # noqa: E402
+from fewstep.cli import COMPARE_REPORT_COLUMNS, TRAJECTORY_CHAIN_LIMIT, main, run_experiment  # noqa: E402
 from fewstep.config import ExperimentConfig  # noqa: E402
 
 # Reports echo the mixture path as given, so it is relative to the repository root.
@@ -124,8 +126,9 @@ for name, configs in (("sweep-512", WORKLOADS["sweep-512"]), ("bulk-65536", WORK
         for index, cfg in enumerate(configs(seed)):
             report, trajectory = run_experiment(cfg)
             update_report(f"{name} seed {seed} config {index}", report.to_json())
-            for t, state in [*trajectory.states, (-1, trajectory.final)]:
-                update(str(t).encode() + state.tobytes())
+            for t, state in trajectory.states:
+                update(str(t).encode() + state[:TRAJECTORY_CHAIN_LIMIT].tobytes())
+            update(b"-1" + trajectory.final.tobytes())
 for index, argv in enumerate(ARGVS):
     update(run_cli(f"ARGVS[{index}]", argv).encode())
 for call, argv in SAMPLE_ARGVS.items():
