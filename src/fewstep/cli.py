@@ -241,9 +241,11 @@ def _prepare(cfg: ExperimentConfig, model: MixtureModel) -> Callable[[float], tu
 def _run(cfg: ExperimentConfig, schedule: NoiseSchedule, timesteps: TimestepSchedule, eps_model, sampler_config,
          reference: MixtureModel, config_echo: dict, start: float) -> tuple[RunReport, SampleTrajectory]:
     """The initial noise, the sampler, the ground truth, the metrics and the report of a prepared run."""
-    initial = stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, reference.dim))
-    # Only --trajectory-out reads visited states, and only those of the first chains.
-    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model, initial, chains=TRAJECTORY_CHAIN_LIMIT)
+    # The initial draw goes straight in, so run_sampler can free it once it holds its own copy. Only
+    # --trajectory-out reads visited states, and only those of the first chains.
+    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model,
+                             stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, reference.dim)),
+                             chains=TRAJECTORY_CHAIN_LIMIT)
     truth = reference.sample_ground_truth(cfg.batch, stream(cfg.seed, STREAM_GROUND_TRUTH))
     mean_error, cov_error = moments_error(trajectory.final, reference)
     if reference.dim == 1:

@@ -48,7 +48,8 @@ def _predictions(a: np.ndarray, b: np.ndarray, omega: float) -> tuple[np.ndarray
 def guide_interpolate(eps_cond: np.ndarray, eps_uncond: np.ndarray, omega: float) -> np.ndarray:
     """Extrapolate beyond the unconditional prediction: ``(1 + omega) * eps_cond - omega * eps_uncond``."""
     eps_cond, eps_uncond = _predictions(eps_cond, eps_uncond, omega)
-    return (1.0 + omega) * eps_cond - omega * eps_uncond
+    out = np.multiply(eps_cond, 1.0 + omega)
+    return np.subtract(out, np.multiply(eps_uncond, omega), out=out)
 
 
 def guide_negative(eps_cond: np.ndarray, eps_neg: np.ndarray, omega: float) -> np.ndarray:
@@ -58,7 +59,9 @@ def guide_negative(eps_cond: np.ndarray, eps_neg: np.ndarray, omega: float) -> n
     negative prediction is the unconditional one.
     """
     eps_cond, eps_neg = _predictions(eps_cond, eps_neg, omega)
-    return eps_neg + omega * (eps_cond - eps_neg)
+    out = np.subtract(eps_cond, eps_neg)
+    out *= omega
+    return np.add(out, eps_neg, out=out)
 
 
 class CompoundingScale(NamedTuple):

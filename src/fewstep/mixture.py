@@ -8,9 +8,9 @@ its component, a one-component model that ``component`` builds once and shares,
 and the unconditional model is the full mixture. A conditioned noise prediction
 is that component model's own prediction; the oracle has no row-slice path.
 
-A noise prediction diffuses the model's components as plain arrays and builds
-no model. A single component has the score ``(mu' - x) / var'``. Several
-components go through one kernel, shared with
+A noise prediction diffuses the model's components as plain arrays, builds no
+model and keeps its input's memory layout. A single component has the score
+``(mu' - x) / var'``. Several components go through one kernel, shared with
 ``log_density``, that lays the offsets ``mu' - x`` out component-major as
 ``(K, d, batch)``: squared distances and the weighted pull are ``einsum``s and
 the log-sum-exp reduces over K, never over a short axis once per row.
@@ -107,10 +107,12 @@ class MixtureModel:
         x, squeeze = _as_batch(x, self.dim)
         means, variances = self._diffused(ab)
         if variances.size == 1:
-            out = (means[0] - x) / variances[0]
+            out = np.subtract(means[0], x)
+            out /= variances[0]
         else:
             diff, shifted, total, _ = self._kernel(means, variances, x)
-            out = np.einsum("kdb,kb->bd", diff, shifted / (variances[:, None] * total), order="C")
+            shifted /= variances[:, None] * total
+            out = np.einsum("kdb,kb->bd", diff, shifted, order="F" if np.isfortran(x) else "C")
         return out[0] if squeeze else out
 
     def _kernel(self, means: np.ndarray, variances: np.ndarray, x: np.ndarray) -> tuple:
@@ -138,7 +140,8 @@ class MixtureModel:
         if condition is not None:
             return self.component(condition).epsilon_prediction(schedule, x, t)
         ab = schedule.alpha_bar_at(t)
-        return -math.sqrt(1.0 - ab) * self._score(ab, x)
+        out = self._score(ab, x)
+        return np.multiply(out, -math.sqrt(1.0 - ab), out=out)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
         """Exact ancestral samples of shape ``(count, dim)``, drawn from ``rng_seed``: a seed or a Generator."""

@@ -107,7 +107,9 @@ def denoise_step(
         raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
     if not np.isfinite(eps).all():
         raise NumericalError(f"non-finite noise prediction at timestep {t_from}")
-    x0_hat = (x - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
+    x0_hat = np.multiply(eps, math.sqrt(1.0 - ab))
+    np.subtract(x, x0_hat, out=x0_hat)
+    x0_hat /= math.sqrt(ab)
     if clip is not None:
         if not np.isfinite(x0_hat).all():
             raise NumericalError(f"non-finite clean-state estimate at timestep {t_from}")
@@ -138,7 +140,8 @@ def noisify(
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state shape {x.shape}")
-    return math.sqrt(ratio) * x + math.sqrt(1.0 - ratio) * noise
+    out = np.multiply(x, math.sqrt(ratio))  # in x's layout, whatever the noise's
+    return np.add(out, np.multiply(noise, math.sqrt(1.0 - ratio)), out=out)
 
 
 def _intermediate_target(
@@ -170,7 +173,8 @@ def run_sampler(
         timesteps: anchor timesteps, highest first. The gamma_i variant needs
             importance-provenance slots to carry the curve they came from.
         eps_model: callable ``(state, t) -> noise prediction``, vectorized over
-            rows; guidance, if any, is already composed into it.
+            rows; guidance, if any, is already composed into it. It and the
+            clip receive column-major ``(batch, dim)`` states.
         initial: full-noise start, shape ``(batch, dim)``; one chain is
             ``initial[None, :]``. Rows are independent chains sharing one
             vectorized noise stream.
@@ -180,11 +184,15 @@ def run_sampler(
 
     Returns:
         The visited states, each ``(chains, dim)`` or shaped like ``initial``,
-        and the terminal clean-state estimate, shaped like ``initial``.
+        and the terminal clean-state estimate, shaped like ``initial``; each
+        is C-ordered and owns its data.
     """
-    x = np.asarray(initial, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"initial state must have shape (batch, dim), got {x.shape}")
+    if np.ndim(initial) != 2:
+        raise ValueError(f"initial state must have shape (batch, dim), got {np.shape(initial)}")
+    # The loop runs on batch-contiguous (column-major) states, so a per-column or per-row broadcast is one long
+    # inner loop, not one of length dim per row. Dropping ``initial`` frees a draw the caller passed straight in.
+    x = np.asfortranarray(initial, dtype=np.float64)
+    del initial
     if not np.isfinite(x).all():
         raise NumericalError("initial state contains non-finite entries")
     if chains is not None and chains < 1:
@@ -212,4 +220,4 @@ def run_sampler(
             x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
         states.append((t_anchor, x[:chains].copy()))
     final = denoise_step(eps_model, schedule, x, int(steps[-1]), None, config.clip)
-    return SampleTrajectory(states=states, final=final)
+    return SampleTrajectory(states=states, final=np.ascontiguousarray(final))

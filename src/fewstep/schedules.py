@@ -66,7 +66,8 @@ class NoiseSchedule:
         if x0.shape != noise.shape:
             raise ValueError(f"x0 shape {x0.shape} does not match noise shape {noise.shape}")
         ab = self.alpha_bar_at(t)
-        return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * noise
+        out = np.multiply(x0, math.sqrt(ab))
+        return np.add(out, np.multiply(noise, math.sqrt(1.0 - ab)), out=out)
 
 
 def _cosine_alpha_bars(num_steps: int, offset: float = 0.008) -> np.ndarray:

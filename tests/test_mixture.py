@@ -233,6 +233,16 @@ class TestEpsilonPrediction:
                 expected = skewed.component(label).epsilon_prediction(linear_schedule, xs, t)
                 assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("condition", [None, 0])
+    def test_a_prediction_keeps_its_input_layout(self, skewed, linear_schedule, condition):
+        # The sampler hands the oracle column-major rows; C-ordered callers get C-ordered predictions.
+        x = np.random.default_rng(3).normal(size=(64, 2))
+        for t in (0, 350, 999):
+            c, f = (skewed.epsilon_prediction(linear_schedule, order(x), t, condition)
+                    for order in (np.ascontiguousarray, np.asfortranarray))
+            assert c.flags.c_contiguous and np.isfortran(f)
+            assert c.tobytes() == f.tobytes()
+
     def test_builds_no_model_per_call(self, monkeypatch):
         # The first guided run on a preset builds it, its reference component and its negative
         # label's component, however many noise predictions its sampler asks for; a later run

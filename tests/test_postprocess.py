@@ -98,6 +98,27 @@ class TestBatchClip:
         if dim > 1:
             assert not np.array_equal(first, after)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in a row mean
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 40])
+    def test_exposure_clips_keep_the_stacked_product_on_edge_rows(self, dim, order):
+        # The stacked product over C rows sums each mean from +0.0, one BLAS dot per row. Whatever
+        # path a layout or a dimension takes, ±0.0, subnormal, ±1e308 and ±inf rows keep its values
+        # and sign bits, NaNs included.
+        edge = [0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, 1.5e-308, 1e308, -1e308, np.inf, -np.inf, 1.5]
+        rng = np.random.default_rng(dim)
+        rows = [np.full(dim, v) for v in edge] + [rng.choice(edge, size=dim) for _ in range(300)]
+        x = np.array(rows, order=order)
+        c = np.ascontiguousarray(x)
+        w = np.full(dim, 1.0 / dim)
+        for shift in (0.75, 1.0, -0.3):
+            squashed = np.tanh(c)
+            want = {"tanh-balance": np.tanh(c - shift * (c[:, None, :] @ w)),
+                    "balance-tanh": squashed - shift * (squashed[:, None, :] @ w)}
+            for method, expected in want.items():
+                got = batch_clip(method, shift=shift)(x)
+                assert np.ascontiguousarray(got).tobytes() == expected.tobytes(), (method, shift)
+
     def test_in_range_row_is_untouched(self):
         x = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2, 50))
         np.testing.assert_array_equal(batch_clip("quantile")(x), x)

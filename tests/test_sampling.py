@@ -3,11 +3,19 @@ import re
 import numpy as np
 import pytest
 
-from fewstep.guidance import guide_negative
+from fewstep.guidance import guide_interpolate, guide_negative
 from fewstep.importance import ImportanceCurve, schedule_fingerprint
 from fewstep.mixture import MixtureModel, mixture_preset
 from fewstep.postprocess import batch_clip
-from fewstep.sampling import NumericalError, SamplerConfig, denoise_step, noisify, run_sampler
+from fewstep.sampling import (
+    CLIP_TIMING,
+    SAMPLER_VARIANTS,
+    NumericalError,
+    SamplerConfig,
+    denoise_step,
+    noisify,
+    run_sampler,
+)
 from fewstep.schedules import build_schedule
 from fewstep.seeding import STREAM_RENOISE, stream
 from fewstep.timesteps import (
@@ -214,6 +222,91 @@ class TestLoopIsTheDocumentedSteps:
         for (_, got), (_, want) in zip(out.states, visits):
             assert got.tobytes() == want.tobytes()
         assert out.final.tobytes() == final.tobytes()
+
+
+def guided_or_full_model(dim, schedule):
+    """A guided conditioned pair on skewed-2d at dim 2; an unguided full five-component mixture otherwise."""
+    if dim == 2:
+        mixture = mixture_preset("skewed-2d")
+        return lambda x, t: guide_negative(mixture.epsilon_prediction(schedule, x, t, condition=0),
+                                           mixture.epsilon_prediction(schedule, x, t, condition=1), 7.5)
+    rng = np.random.default_rng(dim)
+    mixture = MixtureModel(weights=np.full(5, 0.2), means=rng.uniform(-1.0, 1.0, (5, dim)),
+                           variances=rng.uniform(0.01, 0.05, 5))
+    return lambda x, t: mixture.epsilon_prediction(schedule, x, t)
+
+
+class TestLayout:
+    """The loop runs on column-major ``(batch, dim)`` rows; what it hands back is C-ordered and its own."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("clip_timing", CLIP_TIMING)
+    @pytest.mark.parametrize("variant", SAMPLER_VARIANTS)
+    def test_c_and_f_ordered_initial_give_the_same_bytes(self, linear_schedule, default_curve, variant, clip_timing,
+                                                         dim):
+        timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
+        config = SamplerConfig(variant=variant, clip=batch_clip("tanh-balance"), clip_timing=clip_timing, rng_seed=3)
+        initial = np.random.default_rng(11).standard_normal((64, dim))
+        eps_model = guided_or_full_model(dim, linear_schedule)
+        c, f = (run_sampler(config, linear_schedule, timesteps, eps_model, order(initial))
+                for order in (np.ascontiguousarray, np.asfortranarray))
+        assert [t for t, _ in c.states] == [t for t, _ in f.states]
+        for (_, a), (_, b) in zip(c.states + [(None, c.final)], f.states + [(None, f.final)]):
+            assert a.tobytes() == b.tobytes()
+            for out in (a, b):
+                assert out.flags.c_contiguous and out.flags.owndata
+
+    def test_model_and_clip_see_column_major_rows(self, linear_schedule, default_curve):
+        seen = []
+        eps_model = guided_or_full_model(2, linear_schedule)
+        clip = batch_clip("tanh-balance")
+
+        def spy(name, fn):
+            def call(x, *args):
+                seen.append((name, x.shape, np.isfortran(x)))
+                return fn(x, *args)
+            return call
+
+        timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
+        initial = np.random.default_rng(11).standard_normal((64, 2))
+        for clip_timing in CLIP_TIMING:
+            config = SamplerConfig(variant="gamma_i", clip=spy("clip", clip), clip_timing=clip_timing)
+            run_sampler(config, linear_schedule, timesteps, spy("model", eps_model), initial)
+        assert {name for name, _, _ in seen} == {"model", "clip"}
+        assert all(shape == (64, 2) and fortran for _, shape, fortran in seen)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
+    # Each step operation allocates its result and works in place on that; writing into an argument
+    # would raise here, because every input is read-only.
+    rng = np.random.default_rng(5)
+    inputs = [np.array(rng.standard_normal((16, 3)), order=order) for _ in range(4)]
+    for a in inputs:
+        a.flags.writeable = False
+    x, noise, cond, neg = inputs
+    before = [a.tobytes() for a in inputs]
+    mixture = MixtureModel(weights=[0.3, 0.7], means=[[0.5, -0.2, 0.1], [-0.4, 0.3, 0.0]], variances=[0.02, 0.05])
+    clips = [batch_clip(method) for method in ("tanh-balance", "balance-tanh", "quantile")]
+    outputs = [
+        denoise_step(lambda _x, _t: cond, linear_schedule, x, 400, t_to, clip)
+        for t_to in (None, 300) for clip in (None, *clips)
+    ] + [
+        noisify(linear_schedule, x, 300, 400, noise),
+        linear_schedule.forward_diffuse(x, 300, noise),
+        guide_negative(cond, neg, 3.0),
+        guide_interpolate(cond, neg, 3.0),
+        mixture.epsilon_prediction(linear_schedule, x, 400),
+        mixture.epsilon_prediction(linear_schedule, x, 400, condition=1),
+        mixture.score(linear_schedule, x, 400),
+        mixture.score(linear_schedule, x[0], 400),
+        mixture.component(0).score(linear_schedule, x, 400),
+        *(clip(x) for clip in clips),
+        mixture.sample_ground_truth(16, 0),
+    ]
+    assert [a.tobytes() for a in inputs] == before
+    for out in outputs:
+        assert out.flags.writeable and not any(np.shares_memory(out, a) for a in inputs)
 
 
 class TestVariantDegeneration:
