@@ -48,7 +48,11 @@ def moments_error(samples: np.ndarray, model: MixtureModel) -> tuple[float, floa
         raise ValueError(f"expected a non-empty (batch, dim) array, got shape {samples.shape}")
     true_mean, true_cov = mixture_moments(model)
     mean_error = float(np.linalg.norm(samples.mean(axis=0) - true_mean))
-    empirical_cov = np.cov(samples, rowvar=False, bias=True).reshape(true_cov.shape)
+    # np.cov(samples, rowvar=False, bias=True)'s own steps, without its wrapper.
+    x = np.array(samples).T
+    x -= x.mean(axis=1)[:, None]
+    empirical_cov = np.dot(x, x.T)
+    empirical_cov *= np.true_divide(1, x.shape[1])
     cov_error = float(np.linalg.norm(empirical_cov - true_cov))
     return mean_error, cov_error
 
@@ -89,7 +93,7 @@ def saturation_fraction(x: np.ndarray) -> float:
     x = _finite(x, "saturation fraction")
     if x.size == 0:
         raise ValueError("saturation fraction of an empty array is undefined")
-    return float(np.mean(np.abs(x) > 0.99))
+    return float(np.count_nonzero(np.abs(x) > 0.99) / x.size)
 
 
 @dataclass

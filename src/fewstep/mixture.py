@@ -148,7 +148,10 @@ class MixtureModel:
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         rng = np.random.default_rng(rng_seed)
-        labels = rng.choice(self.num_components, size=count, p=self.weights)
+        # Generator.choice's draw with p=weights, without its checks, which __post_init__ has made.
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        labels = cdf.searchsorted(rng.random(count), side="right")
         noise = rng.standard_normal((count, self.dim))
         return self.means[labels] + np.sqrt(self.variances[labels])[:, None] * noise
 

@@ -64,4 +64,6 @@ def batch_clip(
         raise ValueError(f"quantile q must lie in (0, 1], got {q}")
     if ceiling < 1.0:
         raise ValueError(f"ceiling must be at least 1, got {ceiling}")
+    if ceiling == 1.0:  # every threshold clamps to 1, so q has no effect: bit-equal to _quantile(x, q, 1.0)
+        return lambda x: np.clip(x, -1.0, 1.0)
     return lambda x: _quantile(x, q, ceiling)

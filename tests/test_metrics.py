@@ -65,6 +65,19 @@ class TestMoments:
         mean_err, _ = moments_error(samples, model)
         assert mean_err == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("batch", [1, 7, 512])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_covariance_is_numpys_byte_for_byte(self, dim, batch):
+        # The covariance takes np.cov(rowvar=False, bias=True)'s own steps, so the error is the one
+        # np.cov gives, to the last bit.
+        model = MixtureModel(weights=[0.3, 0.7], means=[np.full(dim, -0.4), np.linspace(0.1, 0.9, dim)],
+                             variances=[0.2, 0.05])
+        _, cov = mixture_moments(model)
+        for seed in range(4):
+            samples = np.random.default_rng(seed).normal(loc=0.3, scale=1.7, size=(batch, dim))
+            empirical = np.cov(samples, rowvar=False, bias=True).reshape(cov.shape)
+            assert moments_error(samples, model)[1] == float(np.linalg.norm(empirical - cov))
+
     def test_rejects_empty_and_flat_input(self):
         model = mixture_preset("bimodal-1d")
         with pytest.raises(ValueError, match="batch"):
@@ -258,6 +271,12 @@ class TestSaturation:
 
     def test_threshold_is_exclusive(self):
         assert saturation_fraction(np.array([0.99, -0.99])) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (7, 2), (512, 5), (65_537, 1)])
+    def test_is_the_mean_of_the_saturated_mask(self, shape):
+        x = np.random.default_rng(shape[0]).uniform(-1.02, 1.02, size=shape)
+        got = saturation_fraction(x)
+        assert type(got) is float and got == float(np.mean(np.abs(x) > 0.99))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):

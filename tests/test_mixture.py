@@ -325,6 +325,33 @@ class TestSampling:
         right = float(np.mean(draws[:, 0] > 0.0))
         assert right == pytest.approx(0.4, abs=0.01)
 
+    @pytest.mark.parametrize("count", [1, 7, 512])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("preset", ["bimodal-1d", "grid-2d", "skewed-2d", "one component"])
+    def test_draws_are_generator_choices(self, preset, seed, count):
+        # The labels are Generator.choice's draw with p=weights, taken without its checks: the same
+        # samples, and the same next draw of the stream.
+        if preset == "one component":
+            model = MixtureModel(weights=[1.0], means=[[0.3, -0.2]], variances=[0.05])
+        else:
+            model = mixture_preset(preset)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels = reference.choice(model.num_components, size=count, p=model.weights)
+        noise = reference.standard_normal((count, model.dim))
+        want = model.means[labels] + np.sqrt(model.variances[labels])[:, None] * noise
+        assert model.sample_ground_truth(count, rng).tobytes() == want.tobytes()
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_draw_on_a_cumulative_weight_takes_the_next_component(self, seed):
+        # Weights (u, 1 - u), u the stream's first uniform: the first label's draw lands exactly on the
+        # cumulative weight u, where Generator.choice picks component 1.
+        u = np.random.default_rng(seed).random()
+        model = MixtureModel(weights=[u, 1.0 - u], means=[[-5.0], [5.0]], variances=[1e-4, 1e-4])
+        labels = np.random.default_rng(seed).choice(2, size=3, p=model.weights)
+        assert labels[0] == 1
+        assert (model.sample_ground_truth(3, rng_seed=seed)[:, 0] > 0.0).tolist() == (labels == 1).tolist()
+
     def test_rejects_empty_request(self, bimodal):
         with pytest.raises(ValueError, match="count"):
             bimodal.sample_ground_truth(0, rng_seed=0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fewstep.postprocess import CLIP_METHODS, batch_clip
+from fewstep.postprocess import CLIP_METHODS, _quantile, batch_clip
 
 row_batches = hnp.arrays(
     dtype=np.float64,
@@ -85,16 +85,20 @@ class TestBatchClip:
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("shift", [0.72, 1.0, -0.3])
     def test_exposure_clips_match_a_per_row_reference(self, dim, shift):
-        # Bit for bit against one np.dot per row. At dim >= 3 and batch >= 7, a plain 2-D x @ w or
-        # np.einsum rounds some row means differently, so this pins the product order.
+        # Bit for bit, sign bits included, against the row product row[None, :] @ w, one row at a time.
+        # At dim >= 3 and batch >= 7, a plain 2-D x @ w or np.einsum rounds some row means differently,
+        # so this pins the product order. np.dot(row, w) is no reference: on a -0.0 row at dim 1 it
+        # gives -0.0, where the row product, summed from +0.0, gives +0.0.
         w = np.full(dim, 1.0 / dim)
         x = np.random.default_rng(dim).normal(loc=1.5, scale=2.0, size=(64, dim))
+        x[:4] = [[0.0], [-0.0], [0.0], [-0.0]]
+        x[2:4, ::2] *= -1.0  # rows of mixed signed zeros
         first = batch_clip("tanh-balance", shift=shift)(x)
         after = batch_clip("balance-tanh", shift=shift)(x)
         for row, got_first, got_after in zip(x, first, after):
-            np.testing.assert_array_equal(got_first, np.tanh(row - shift * np.dot(row, w)))
+            assert got_first.tobytes() == np.tanh(row - shift * (row[None, :] @ w)).tobytes()
             squashed = np.tanh(row)
-            np.testing.assert_array_equal(got_after, squashed - shift * np.dot(squashed, w))
+            assert got_after.tobytes() == (squashed - shift * (squashed[None, :] @ w)).tobytes()
         if dim > 1:
             assert not np.array_equal(first, after)
 
@@ -118,6 +122,20 @@ class TestBatchClip:
             for method, expected in want.items():
                 got = batch_clip(method, shift=shift)(x)
                 assert np.ascontiguousarray(got).tobytes() == expected.tobytes(), (method, shift)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("q", [0.01, 0.5, 0.995, 1.0])
+    def test_default_ceiling_is_the_sorting_clip_bit_for_bit(self, dim, q, order):
+        # At the default ceiling the clip skips the per-row sort, since every threshold clamps to 1.
+        # Values, sign bits and layout stay those of the sorting clip, on edge rows as on normal ones.
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1.5e-308, 1e308, -1e308, 0.5, -0.999, 1.0, -1.0, 1.5]
+        rng = np.random.default_rng(dim)
+        rows = [np.full(dim, v) for v in edge] + [rng.choice(edge, size=dim) for _ in range(200)]
+        x = np.array(rows + list(rng.normal(scale=2.0, size=(100, dim))), order=order)
+        got, want = batch_clip("quantile", q=q)(x), _quantile(x, q, 1.0)
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_in_range_row_is_untouched(self):
         x = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2, 50))

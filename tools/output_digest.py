@@ -10,9 +10,12 @@ runs two clips at both clip timings. Every benchmark mixture has at most two
 dimensions, where any order of a row mean's products rounds alike, so the runs
 also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
 under guidance, with each of the three clips, at the same two seeds.
-The reports of two ``sample`` calls on ``skewed-2d`` follow, set-ups that no
-other call runs: a condition without guidance, and ``negative_prompt`` without
-``--negative-condition``, which guides against the full mixture.
+The reports of three ``sample`` calls on ``skewed-2d`` follow, set-ups that no
+other call runs: a condition without guidance, ``negative_prompt`` without
+``--negative-condition``, which guides against the full mixture, and the
+quantile clip at d = 2 under a ceiling of 2.5, where every threshold lies
+between 1 and the ceiling, so the per-row quantile moves the numbers. At the
+default ceiling of 1 the clip is ``clip(x, -1, 1)`` and sorts nothing.
 Last come the files of one ``sample --out --trajectory-out`` call (with
 ``--distill-omega`` on a ``scaled_linear`` schedule) and of one
 ``schedule --out DIR`` call, written under a temporary directory, and the
@@ -85,6 +88,9 @@ SAMPLE_ARGVS = {
     "sample none condition": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--condition", "2", "--batch", "64"],
     "sample negative_prompt mixture": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode",
                                        "negative_prompt", "--condition", "0", "--batch", "64"],
+    "sample quantile ceiling": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt",
+                                "--condition", "0", "--negative-condition", "1", "--batch", "64",
+                                "--clip-method", "quantile", "--quantile-ceiling", "2.5", "--quantile-q", "0.9"],
 }
 
 full, numbers = hashlib.sha256(), hashlib.sha256()
