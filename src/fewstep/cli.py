@@ -167,16 +167,6 @@ def _unwritable(path: str) -> Optional[int]:
     return errno.EISDIR if os.path.isdir(target) else None
 
 
-def _build_eps_model(cfg: ExperimentConfig, model: MixtureModel, reference: MixtureModel, schedule: NoiseSchedule):
-    """Compose the reference's predictions with the guidance's other side, resolved once: mixture or negative label."""
-    if cfg.cfg_mode == "none":
-        return lambda x, t: reference.epsilon_prediction(schedule, x, t)
-    combine = guide_interpolate if cfg.cfg_mode == "interpolate" else guide_negative
-    other = model if cfg.negative_condition is None else model.component(cfg.negative_condition)
-    return lambda x, t: combine(reference.epsilon_prediction(schedule, x, t),
-                                other.epsilon_prediction(schedule, x, t), cfg.cfg_scale)
-
-
 @functools.lru_cache(maxsize=1)
 def _set_up(kind: str, num_train_steps: int, beta_start: float, beta_end: float, steps: int,
             theta: float) -> tuple[NoiseSchedule, ImportanceCurve, TimestepSchedule]:
@@ -195,13 +185,12 @@ def _set_up_for(cfg: ExperimentConfig) -> tuple[NoiseSchedule, ImportanceCurve, 
 
 def _mixture(cfg: ExperimentConfig) -> MixtureModel:
     """The config's mixture: the shared preset, or the model its file holds, read and checked on every call."""
-    path = Path(cfg.mixture)
     if cfg.mixture in MIXTURE_PRESETS:
         return mixture_preset(cfg.mixture)
-    if not path.is_file():
-        raise ConfigError(
-            f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) nor an existing file"
-        )
+    if _mixture_file(cfg) is None:
+        raise ConfigError(f"mixture {cfg.mixture!r} is neither a preset ({sorted(MIXTURE_PRESETS)}) "
+                          "nor an existing file")
+    path = Path(cfg.mixture)  # named as given in the messages, not resolved
     mapping = load_json_object(path, "mixture file")  # its ConfigError is a ValueError, so read outside the try
     try:
         return mixture_from_config(mapping)
@@ -233,30 +222,36 @@ def _prepare(cfg: ExperimentConfig, model: MixtureModel) -> Callable[[float], tu
         if not all(math.isfinite(v) for v in diag if v is not None):
             raise NumericalError(f"non-finite compounding diagnostic: scale {diag.scale}, alpha {diag.alpha}")
         config_echo["compounding"] = {"scale": diag.scale, "alpha": diag.alpha}
-    reference = model if cfg.condition is None else model.component(cfg.condition)
-    return functools.partial(_run, cfg, schedule, timesteps, _build_eps_model(cfg, model, reference, schedule),
-                             sampler_config, reference, config_echo)
-
-
-def _run(cfg: ExperimentConfig, schedule: NoiseSchedule, timesteps: TimestepSchedule, eps_model, sampler_config,
-         reference: MixtureModel, config_echo: dict, start: float) -> tuple[RunReport, SampleTrajectory]:
-    """The initial noise, the sampler, the ground truth, the metrics and the report of a prepared run."""
-    # The initial draw goes straight in, so run_sampler can free it once it holds its own copy. Only
-    # --trajectory-out reads visited states, and only those of the first chains.
-    trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model,
-                             stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, reference.dim)),
-                             chains=TRAJECTORY_CHAIN_LIMIT)
-    truth = reference.sample_ground_truth(cfg.batch, stream(cfg.seed, STREAM_GROUND_TRUTH))
-    mean_error, cov_error = moments_error(trajectory.final, reference)
-    if reference.dim == 1:
-        w1 = wasserstein_1d(trajectory.final[:, 0], truth[:, 0])
+    reference, other = (model if label is None else model.component(label)
+                        for label in (cfg.condition, cfg.negative_condition))
+    if cfg.cfg_mode == "none":
+        eps_model = lambda x, t: reference.epsilon_prediction(schedule, x, t)
     else:
-        w1 = sliced_wasserstein(trajectory.final, truth, cfg.directions, rng_seed=cfg.seed)
-    if not all(math.isfinite(m) for m in (mean_error, cov_error, w1)):
-        raise NumericalError(f"non-finite metrics: mean {mean_error}, covariance {cov_error}, W1 {w1}")
-    report = RunReport(config_echo=config_echo, mean_error=mean_error, cov_error=cov_error, wasserstein1=w1,
-                       saturation_fraction=saturation_fraction(trajectory.final), wall_time=time.perf_counter() - start)
-    return report, trajectory
+        combine = guide_interpolate if cfg.cfg_mode == "interpolate" else guide_negative
+        eps_model = lambda x, t: combine(reference.epsilon_prediction(schedule, x, t),
+                                         other.epsilon_prediction(schedule, x, t), cfg.cfg_scale)
+
+    def run(start: float) -> tuple[RunReport, SampleTrajectory]:
+        """The initial noise, the sampler, the ground truth, the metrics and the report."""
+        # The initial draw goes straight in, so run_sampler can free it once it holds its own copy. Only
+        # --trajectory-out reads visited states, and only those of the first chains.
+        trajectory = run_sampler(sampler_config, schedule, timesteps, eps_model,
+                                 stream(cfg.seed, STREAM_INITIAL_NOISE).standard_normal((cfg.batch, reference.dim)),
+                                 chains=TRAJECTORY_CHAIN_LIMIT)
+        truth = reference.sample_ground_truth(cfg.batch, stream(cfg.seed, STREAM_GROUND_TRUTH))
+        mean_error, cov_error = moments_error(trajectory.final, reference)
+        if reference.dim == 1:
+            w1 = wasserstein_1d(trajectory.final[:, 0], truth[:, 0])
+        else:
+            w1 = sliced_wasserstein(trajectory.final, truth, cfg.directions, rng_seed=cfg.seed)
+        if not all(math.isfinite(m) for m in (mean_error, cov_error, w1)):
+            raise NumericalError(f"non-finite metrics: mean {mean_error}, covariance {cov_error}, W1 {w1}")
+        report = RunReport(config_echo=config_echo, mean_error=mean_error, cov_error=cov_error, wasserstein1=w1,
+                           saturation_fraction=saturation_fraction(trajectory.final),
+                           wall_time=time.perf_counter() - start)
+        return report, trajectory
+
+    return run
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[RunReport, SampleTrajectory]:
@@ -322,11 +317,11 @@ def cmd_schedule(cfg: ExperimentConfig, out: Optional[str], stdout) -> int:
     return 0
 
 
-def _trajectory_csv(trajectory, dim: int) -> str:
+def _trajectory_csv(trajectory: SampleTrajectory) -> str:
     chains = range(min(TRAJECTORY_CHAIN_LIMIT, trajectory.final.shape[0]))
     # The terminal estimate lives on the data axis, marked with timestep -1.
     visits = [*trajectory.states, (-1, trajectory.final)]
-    return _csv_text(["index", "timestep", "chain"] + [f"x{i}" for i in range(dim)], (
+    return _csv_text(["index", "timestep", "chain"] + [f"x{i}" for i in range(trajectory.final.shape[1])], (
         [index, t, chain] + [repr(float(v)) for v in state[chain]]
         for index, (t, state) in enumerate(visits) for chain in chains
     ))
@@ -336,7 +331,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Optional[str], trajectory_out: Option
     report, trajectory = run_experiment(cfg)
     _write_text("--out", out, report.to_json(), stdout)
     if trajectory_out is not None:
-        _write_text("--trajectory-out", trajectory_out, _trajectory_csv(trajectory, trajectory.final.shape[1]), stdout)
+        _write_text("--trajectory-out", trajectory_out, _trajectory_csv(trajectory), stdout)
     return 0
 
 

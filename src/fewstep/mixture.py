@@ -6,7 +6,7 @@ and the score is available in closed form. Component indices double as
 condition labels for guidance experiments: the conditional model of a label is
 its component, a one-component model that ``component`` builds once and shares,
 and the unconditional model is the full mixture. A conditioned noise prediction
-is that component model's own prediction; the oracle has no row-slice path.
+is that component model's own prediction.
 
 A noise prediction diffuses the model's components as plain arrays, builds no
 model and keeps its input's memory layout. A single component has the score

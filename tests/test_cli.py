@@ -22,7 +22,7 @@ import fewstep.cli
 from fewstep.cli import TRAJECTORY_CHAIN_LIMIT, main, run_experiment
 from fewstep.config import CHOICES, FIELDS, ConfigError, ExperimentConfig, load_json_object
 from fewstep.guidance import guide_interpolate, guide_negative
-from fewstep.mixture import MIXTURE_PRESETS, mixture_preset
+from fewstep.mixture import MIXTURE_PRESETS, MixtureModel, mixture_preset
 
 
 def run_cli(*argv):
@@ -1033,6 +1033,30 @@ class TestRunExperiment:
             got = eps_model(x, t)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
+
+    def test_a_prepared_run_called_twice_gives_the_same_bytes(self, monkeypatch):
+        # A prepared run may be called again (stacked seeds will call one per seed): each call gives the same
+        # bytes, and the models it reads were all built when it was prepared.
+        built, post_init = [], MixtureModel.__post_init__
+        monkeypatch.setattr(MixtureModel, "__post_init__", lambda model: built.append(model) or post_init(model))
+
+        def outcome(run):
+            report, trajectory = run(0.0)
+            echo = json.loads(report.to_json())
+            echo.pop("wall_time")
+            states = [(t, state.shape, state.tobytes()) for t, state in trajectory.states]
+            return json.dumps(echo), states, trajectory.final.shape, trajectory.final.tobytes()
+
+        for fields in ({"cfg_mode": "negative_prompt", "condition": 0, "negative_condition": 1,
+                        "clip_method": "tanh-balance"},
+                       {"cfg_mode": "none", "condition": 2},
+                       {"cfg_mode": "interpolate", "condition": 1, "variant": "gamma"}):
+            cfg = ExperimentConfig(mixture="skewed-2d", batch=64, **fields)
+            run = fewstep.cli._prepare(cfg, fewstep.cli._mixture(cfg))
+            first = outcome(run)
+            built.clear()
+            assert outcome(run) == first, fields
+            assert built == [], fields
 
 class TestSetUpCache:
     """Runs that share the six set-up fields share one schedule, importance curve and timestep set."""
