@@ -32,12 +32,7 @@ def _balance(x: np.ndarray, shift: float, out: Optional[np.ndarray] = None) -> n
 
 
 def _quantile(x: np.ndarray, q: float, ceiling: float) -> np.ndarray:
-    # np.quantile's "linear" method from one sort of each row, lerp included, bit for bit.
-    flat = np.sort(np.abs(x), axis=1)
-    lo, g = divmod((flat.shape[1] - 1) * q, 1)
-    a, b = flat[:, int(lo)], flat[:, min(int(lo) + 1, flat.shape[1] - 1)]
-    level = b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
-    s = np.clip(level, 1.0, ceiling)[:, None]
+    s = np.clip(np.quantile(np.abs(x), q, axis=1), 1.0, ceiling)[:, None]
     return np.clip(x, -s, s) / s
 
 

@@ -13,6 +13,14 @@ row_batches = hnp.arrays(
 )
 
 
+def quantile_edge_rows(dim: int, order: str) -> np.ndarray:
+    """Constant and mixed rows of ±0.0, subnormals, ±1e308 and values near 1, then scaled normal draws."""
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1.5e-308, 1e308, -1e308, 0.5, -0.999, 1.0, -1.0, 1.5]
+    rng = np.random.default_rng(dim)
+    rows = [np.full(dim, v) for v in edge] + [rng.choice(edge, size=dim) for _ in range(200)]
+    return np.array(rows + list(rng.normal(scale=2.0, size=(100, dim))), order=order)
+
+
 class TestBatchClip:
     def test_none_method_disables_clipping(self):
         assert batch_clip("none") is None
@@ -127,15 +135,27 @@ class TestBatchClip:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     @pytest.mark.parametrize("q", [0.01, 0.5, 0.995, 1.0])
     def test_default_ceiling_is_the_sorting_clip_bit_for_bit(self, dim, q, order):
-        # At the default ceiling the clip skips the per-row sort, since every threshold clamps to 1.
-        # Values, sign bits and layout stay those of the sorting clip, on edge rows as on normal ones.
-        edge = [0.0, -0.0, 5e-324, -5e-324, 1.5e-308, 1e308, -1e308, 0.5, -0.999, 1.0, -1.0, 1.5]
-        rng = np.random.default_rng(dim)
-        rows = [np.full(dim, v) for v in edge] + [rng.choice(edge, size=dim) for _ in range(200)]
-        x = np.array(rows + list(rng.normal(scale=2.0, size=(100, dim))), order=order)
+        # At the default ceiling the clip takes no per-row quantile, since every threshold clamps to 1.
+        # Values, sign bits and layout stay those of the per-row quantile clip, on edge rows as on normal ones.
+        x = quantile_edge_rows(dim, order)
         got, want = batch_clip("quantile", q=q)(x), _quantile(x, q, 1.0)
         assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("q", [0.01, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("ceiling", [2.5, 1e6])
+    def test_ceiling_above_one_matches_numpys_quantile_per_row_bit_for_bit(self, ceiling, q, dim, order):
+        # The sampler hands the clip column-major states. Above a ceiling of 1, each row's threshold is
+        # np.quantile(|row|, q) clamped to [1, ceiling], on edge rows as on normal ones, sign bits included,
+        # and the result keeps the input's layout.
+        x = quantile_edge_rows(dim, order)
+        got = batch_clip("quantile", q=q, ceiling=ceiling)(x)
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (x.flags.c_contiguous, x.flags.f_contiguous)
+        for row, got_row in zip(x, got):
+            s = min(max(np.quantile(np.abs(row), q), 1.0), ceiling)
+            assert got_row.tobytes() == (np.clip(row, -s, s) / s).tobytes()
 
     def test_in_range_row_is_untouched(self):
         x = np.random.default_rng(7).uniform(-0.9, 0.9, size=(2, 50))

@@ -15,7 +15,7 @@ other call runs: a condition without guidance, ``negative_prompt`` without
 ``--negative-condition``, which guides against the full mixture, and the
 quantile clip at d = 2 under a ceiling of 2.5, where every threshold lies
 between 1 and the ceiling, so the per-row quantile moves the numbers. At the
-default ceiling of 1 the clip is ``clip(x, -1, 1)`` and sorts nothing.
+default ceiling of 1 the clip is ``clip(x, -1, 1)`` and takes no quantile.
 Last come the files of one ``sample --out --trajectory-out`` call (with
 ``--distill-omega`` on a ``scaled_linear`` schedule) and of one
 ``schedule --out DIR`` call, written under a temporary directory, and the
