@@ -148,6 +148,9 @@ class MixtureModel:
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         rng = np.random.default_rng(rng_seed)
+        if self.num_components == 1:  # the label draw's uniforms are spent, so the stream moves on as below
+            rng.random(count)
+            return self.means + np.sqrt(self.variances) * rng.standard_normal((count, self.dim))
         # Generator.choice's draw with p=weights, without its checks, which __post_init__ has made.
         cdf = self.weights.cumsum()
         cdf /= cdf[-1]

@@ -35,6 +35,7 @@ __all__ = [
 
 SAMPLER_VARIANTS = ("plain", "gamma", "gamma_i")
 CLIP_TIMING = ("every-step", "final-only")
+_BLOCK_VALUES = 2**14  # per row block of a step: 128 KiB temporaries come from malloc's free lists, not fresh pages
 
 
 class NumericalError(RuntimeError):
@@ -48,7 +49,7 @@ class SamplerConfig:
     ``clip`` is a vectorized map applied to every intermediate clean-state
     estimate (or only to the terminal one with ``clip_timing="final-only"``);
     ``None`` disables it. :func:`fewstep.postprocess.batch_clip` builds one per
-    clip method, acting on each chain's row alone.
+    clip method. It must act on each chain's row alone: it may get a block of rows.
     """
 
     variant: str = "plain"
@@ -173,8 +174,10 @@ def run_sampler(
         timesteps: anchor timesteps, highest first. The gamma_i variant needs
             importance-provenance slots to carry the curve they came from.
         eps_model: callable ``(state, t) -> noise prediction``, vectorized over
-            rows; guidance, if any, is already composed into it. It and the
-            clip receive column-major ``(batch, dim)`` states.
+            rows and acting on each row alone; guidance, if any, is already
+            composed into it. It and the clip receive column-major states: the
+            batch, or one block of rows at a time when it spans more than 16,384
+            values. A prediction of the wrong shape names the block's shape.
         initial: full-noise start, shape ``(batch, dim)``; one chain is
             ``initial[None, :]``. Rows are independent chains sharing one
             vectorized noise stream.
@@ -208,16 +211,35 @@ def run_sampler(
 
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
+    batch, dim = x.shape
+    rows, keep = max(2, _BLOCK_VALUES // dim), chains or batch
+
+    def blocked(step, order="F"):
+        # One block runs the step whole; more write each block's result into one output array. No block is a lone
+        # row, which the mixture oracle's einsum sums in another order: the last block takes it.
+        if batch <= rows + 1:
+            return step(0, batch)
+        out, starts = np.empty((batch, dim), order=order), range(0, batch - 1, rows)
+        for a, b in zip(starts, [*starts[1:], batch]):
+            out[a:b] = step(a, b)
+        return out
 
     # Each state is its own copy of the kept rows, so none aliases ``initial`` or pins a full batch.
     states = [(int(steps[0]), x[:chains].copy())]
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
-        x = denoise_step(eps_model, schedule, x, t_prev, mid, step_clip)
-        if mid != t_anchor:
-            states.append((mid, x[:chains].copy()))
-            x = noisify(schedule, x, mid, t_anchor, rng.standard_normal(x.shape))
+        noise, kept = (None, None) if mid == t_anchor else (rng.standard_normal(x.shape), [])
+
+        def transition(a, b):  # the denoise step and the re-noise of rows a:b, keeping their pre-re-noise rows
+            y = denoise_step(eps_model, schedule, x[a:b], t_prev, mid, step_clip)
+            if noise is not None and a < keep:
+                kept.append(y[:keep - a].copy())
+            return y if noise is None else noisify(schedule, y, mid, t_anchor, noise[a:b])
+
+        x = blocked(transition)
+        if noise is not None:
+            states.append((mid, kept[0] if len(kept) == 1 else np.concatenate(kept)))
         states.append((t_anchor, x[:chains].copy()))
-    final = denoise_step(eps_model, schedule, x, int(steps[-1]), None, config.clip)
+    final = blocked(lambda a, b: denoise_step(eps_model, schedule, x[a:b], int(steps[-1]), None, config.clip), "C")
     return SampleTrajectory(states=states, final=np.ascontiguousarray(final))

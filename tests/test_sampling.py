@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from fewstep import sampling
 from fewstep.guidance import guide_interpolate, guide_negative
 from fewstep.importance import ImportanceCurve, schedule_fingerprint
 from fewstep.mixture import MixtureModel, mixture_preset
@@ -307,6 +308,78 @@ def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
     assert [a.tobytes() for a in inputs] == before
     for out in outputs:
         assert out.flags.writeable and not any(np.shares_memory(out, a) for a in inputs)
+
+
+def row_block_model(kind, dim, schedule):
+    """The ε model ``kind`` on a three-component mixture at ``dim``, unguided or guided, full or one component."""
+    rng = np.random.default_rng(dim)
+    mixture = MixtureModel(weights=[0.5, 0.3, 0.2], means=rng.uniform(-1.0, 1.0, (3, dim)),
+                           variances=rng.uniform(0.01, 0.05, 3))
+    eps = lambda model: (lambda x, t: model.epsilon_prediction(schedule, x, t))
+    full, first, second = eps(mixture), eps(mixture.component(0)), eps(mixture.component(1))
+    if kind == "full":
+        return full
+    if kind == "component":
+        return first
+    if kind == "interpolate":
+        return lambda x, t: guide_interpolate(second(x, t), full(x, t), 3.0)
+    return lambda x, t: guide_negative(first(x, t), second(x, t), 7.5)
+
+
+class TestRowBlocks:
+    """A batch wider than one block runs each step block by block, with the bytes of the whole-batch step."""
+
+    # With 100-value blocks (100, 50 and 12 rows at d = 1, 2 and 8), 301 rows leave one row over at each d:
+    # the last block takes it, and the first block holds fewer than CHAINS rows.
+    BATCH, CHAINS = 301, 150
+
+    @staticmethod
+    def run(monkeypatch, block, config, schedule, timesteps, eps_model, initial, chains):
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block)
+        calls = []
+        model = lambda x, t: calls.append(x.shape) or eps_model(x, t)
+        return run_sampler(config, schedule, timesteps, model, initial, chains=chains), len(calls)
+
+    @pytest.mark.parametrize("chains", [None, CHAINS])
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("kind", ["full", "component", "interpolate", "negative_prompt"])
+    @pytest.mark.parametrize("clip, clip_timing", [(batch_clip("quantile", q=0.9, ceiling=2.5), "every-step"),
+                                                   (batch_clip("balance-tanh"), "every-step"),
+                                                   (batch_clip("tanh-balance"), "final-only")])
+    @pytest.mark.parametrize("variant", SAMPLER_VARIANTS)
+    def test_blocks_give_the_whole_batch_bytes(self, linear_schedule, default_curve, monkeypatch, variant, clip,
+                                               clip_timing, kind, dim, chains):
+        timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
+        config = SamplerConfig(variant=variant, clip=clip, clip_timing=clip_timing, rng_seed=3)
+        initial = np.random.default_rng(11).standard_normal((self.BATCH, dim))
+        args = (config, linear_schedule, timesteps, row_block_model(kind, dim, linear_schedule), initial, chains)
+        (blocked, blocked_calls), (whole, whole_calls) = (self.run(monkeypatch, block, *args)
+                                                          for block in (100, self.BATCH * dim + 1))
+        assert blocked_calls > whole_calls
+        assert [t for t, _ in blocked.states] == [t for t, _ in whole.states]
+        for (_, got), (_, want) in zip(blocked.states + [(None, blocked.final)], whole.states + [(None, whole.final)]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.owndata
+
+    @pytest.mark.parametrize("block, calls", [(100, 3), (10_000, 1)])
+    def test_a_non_finite_prediction_in_a_later_block_raises_the_same_error(self, linear_schedule, monkeypatch,
+                                                                            block, calls):
+        # Only the last row predicts NaN; with 100-value blocks it is in the third block of the first step.
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block)
+        initial = np.zeros((self.BATCH, 1))
+        initial[-1] = 1.0
+        seen = []
+        model = lambda x, t: seen.append(x.shape) or np.where(x > 0.5, np.nan, 0.0)
+        with pytest.raises(NumericalError, match="^non-finite noise prediction at timestep 999$"):
+            run_sampler(SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4),
+                        model, initial)
+        assert len(seen) == calls
+
+    def test_a_wrong_prediction_shape_names_the_block(self, linear_schedule, monkeypatch):
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", 100)
+        with pytest.raises(ValueError, match=re.escape("eps model returned shape (1, 2) for state shape (50, 2)")):
+            run_sampler(SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4),
+                        lambda x, t: np.zeros((1, 2)), np.zeros((self.BATCH, 2)))
 
 
 class TestVariantDegeneration:

@@ -9,13 +9,21 @@ crosses two ``--sweep`` flags, one runs both exposure clip orders, and the last
 runs two clips at both clip timings. Every benchmark mixture has at most two
 dimensions, where any order of a row mean's products rounds alike, so the runs
 also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
-under guidance, with each of the three clips, at the same two seeds.
+under guidance, with each of the three clips, at the same two seeds. Two runs
+per seed are wider than one sampler row block, on paths that ``bulk-65536``
+does not take: unguided ``grid-2d`` at batch 20,000, and ``family-8d`` guided
+against its full mixture at batch 5,000.
 The reports of three ``sample`` calls on ``skewed-2d`` follow, set-ups that no
 other call runs: a condition without guidance, ``negative_prompt`` without
 ``--negative-condition``, which guides against the full mixture, and the
 quantile clip at d = 2 under a ceiling of 2.5, where every threshold lies
 between 1 and the ceiling, so the per-row quantile moves the numbers. At the
 default ceiling of 1 the clip is ``clip(x, -1, 1)`` and takes no quantile.
+Two more ``sample`` calls give the config fields that nothing else varies a
+second value: a linear schedule with its own step count, betas, ``theta``,
+``gamma`` and ``directions``, and a cosine run with ``--clip-shift`` and
+``--clip-timing final-only``. ``run_configs`` lists the config of every run whose
+report is hashed, so a test can check that each field takes two values.
 Last come the files of one ``sample --out --trajectory-out`` call (with
 ``--distill-omega`` on a ``scaled_linear`` schedule) and of one
 ``schedule --out DIR`` call, written under a temporary directory, and the
@@ -53,7 +61,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 from fewstep.cli import COMPARE_REPORT_COLUMNS, TRAJECTORY_CHAIN_LIMIT, main, run_experiment  # noqa: E402
-from fewstep.config import ExperimentConfig  # noqa: E402
+from fewstep.config import FIELDS, ExperimentConfig  # noqa: E402
 
 # Reports echo the mixture path as given, so it is relative to the repository root.
 os.chdir(ROOT)
@@ -66,6 +74,16 @@ def family_8d(seed: int) -> list:
                          negative_condition=1, cfg_scale=7.5, variant="gamma", clip_method=method,
                          quantile_q=0.9, quantile_ceiling=4.0, seed=seed)
         for method in ("tanh-balance", "balance-tanh", "quantile")
+    ]
+
+
+def multi_block(seed: int) -> list:
+    """Runs wider than one sampler row block (2**14 values) on paths that ``bulk-65536`` does not take."""
+    return [
+        ExperimentConfig(mixture="grid-2d", clip_method="balance-tanh", batch=20_000, seed=seed),
+        ExperimentConfig(mixture="tools/family-8d.json", cfg_mode="interpolate", condition=1, cfg_scale=3.0,
+                         variant="gamma", clip_method="quantile", quantile_q=0.9, quantile_ceiling=4.0, batch=5_000,
+                         seed=seed),
     ]
 
 
@@ -91,10 +109,16 @@ SAMPLE_ARGVS = {
     "sample quantile ceiling": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt",
                                 "--condition", "0", "--negative-condition", "1", "--batch", "64",
                                 "--clip-method", "quantile", "--quantile-ceiling", "2.5", "--quantile-q", "0.9"],
+    "sample linear betas": ["sample", "--num-train-steps", "500", "--beta-start", "2e-4", "--beta-end", "0.03",
+                            "--steps", "6", "--theta", "0.4", "--gamma", "0.35", "--mixture", "grid-2d",
+                            "--directions", "9", "--batch", "64", "--seed", "2"],
+    "sample cosine": ["sample", "--schedule-kind", "cosine", "--steps", "4", "--mixture", "skewed-2d", "--variant",
+                      "plain", "--clip-method", "tanh-balance", "--clip-shift", "0.5", "--clip-timing", "final-only",
+                      "--batch", "64"],
 }
 
 full, numbers = hashlib.sha256(), hashlib.sha256()
-metrics = {}
+metrics, run_configs = {}, []
 
 
 def record(call: str, fields: dict) -> None:
@@ -110,6 +134,7 @@ def update_report(call: str, text: str) -> None:
     """Hash a report's JSON without ``wall_time``, and its ``config_echo`` into the first line only."""
     fields = json.loads(text)
     record(call, fields)
+    run_configs.append({name: fields["config_echo"][name] for name in FIELDS})
     del fields["wall_time"]
     full.update(json.dumps(fields, sort_keys=True).encode())
     del fields["config_echo"]
@@ -127,7 +152,7 @@ def run_cli(call: str, argv: list) -> str:
 
 
 for name, configs in (("sweep-512", WORKLOADS["sweep-512"]), ("bulk-65536", WORKLOADS["bulk-65536"]),
-                      ("family-8d", family_8d)):
+                      ("family-8d", family_8d), ("multi-block", multi_block)):
     for seed in (0, 1):
         for index, cfg in enumerate(configs(seed)):
             report, trajectory = run_experiment(cfg)
