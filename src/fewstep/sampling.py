@@ -178,9 +178,10 @@ def run_sampler(
             composed into it. It and the clip receive column-major states: the
             batch, or one block of rows at a time when it spans more than 16,384
             values. A prediction of the wrong shape names the block's shape.
-        initial: full-noise start, shape ``(batch, dim)``; one chain is
-            ``initial[None, :]``. Rows are independent chains sharing one
-            vectorized noise stream.
+        initial: full-noise start, shape ``(batch, dim)`` with ``dim >= 1``;
+            one chain is ``initial[None, :]``. Rows are independent chains
+            sharing one vectorized noise stream; the re-noise is drawn block
+            by block in row order, with the bytes of one whole-batch draw.
         chains: how many leading chains each visited state keeps, as its own
             copy, so the full batch of a passed step can be freed; ``None``
             keeps every chain.
@@ -192,6 +193,8 @@ def run_sampler(
     """
     if np.ndim(initial) != 2:
         raise ValueError(f"initial state must have shape (batch, dim), got {np.shape(initial)}")
+    if np.shape(initial)[1] < 1:
+        raise ValueError(f"initial state must have at least one column, got shape {np.shape(initial)}")
     # The loop runs on batch-contiguous (column-major) states, so a per-column or per-row broadcast is one long
     # inner loop, not one of length dim per row. Dropping ``initial`` frees a draw the caller passed straight in.
     x = np.asfortranarray(initial, dtype=np.float64)
@@ -212,34 +215,30 @@ def run_sampler(
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
     batch, dim = x.shape
-    rows, keep = max(2, _BLOCK_VALUES // dim), chains or batch
-
-    def blocked(step, order="F"):
-        # One block runs the step whole; more write each block's result into one output array. No block is a lone
-        # row, which the mixture oracle's einsum sums in another order: the last block takes it.
-        if batch <= rows + 1:
-            return step(0, batch)
-        out, starts = np.empty((batch, dim), order=order), range(0, batch - 1, rows)
-        for a, b in zip(starts, [*starts[1:], batch]):
-            out[a:b] = step(a, b)
-        return out
+    keep = min(chains or batch, batch)
+    # Contiguous row blocks of at most _BLOCK_VALUES values, one block for a batch that fits. No block is a lone row,
+    # which the mixture oracle's einsum sums in another order: the last block takes it.
+    starts = range(0, max(batch - 1, 1), max(2, _BLOCK_VALUES // dim))
+    blocks = list(zip(starts, [*starts[1:], batch]))
 
     # Each state is its own copy of the kept rows, so none aliases ``initial`` or pins a full batch.
     states = [(int(steps[0]), x[:chains].copy())]
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
-        noise, kept = (None, None) if mid == t_anchor else (rng.standard_normal(x.shape), [])
-
-        def transition(a, b):  # the denoise step and the re-noise of rows a:b, keeping their pre-re-noise rows
+        out, kept = np.empty((batch, dim), order="F"), None if mid == t_anchor else np.empty((keep, dim))
+        for a, b in blocks:
             y = denoise_step(eps_model, schedule, x[a:b], t_prev, mid, step_clip)
-            if noise is not None and a < keep:
-                kept.append(y[:keep - a].copy())
-            return y if noise is None else noisify(schedule, y, mid, t_anchor, noise[a:b])
-
-        x = blocked(transition)
-        if noise is not None:
-            states.append((mid, kept[0] if len(kept) == 1 else np.concatenate(kept)))
+            if kept is not None:  # the block's re-noise, drawn in row order: the bytes of one whole-batch draw
+                kept[a:b] = y[:max(keep - a, 0)]
+                y = noisify(schedule, y, mid, t_anchor, rng.standard_normal(y.shape))
+            out[a:b] = y
+            del y  # so the next block's step does not run beside this one's result
+        x = out
+        if kept is not None:
+            states.append((mid, kept))
         states.append((t_anchor, x[:chains].copy()))
-    final = blocked(lambda a, b: denoise_step(eps_model, schedule, x[a:b], int(steps[-1]), None, config.clip), "C")
-    return SampleTrajectory(states=states, final=np.ascontiguousarray(final))
+    final = np.empty((batch, dim))
+    for a, b in blocks:
+        final[a:b] = denoise_step(eps_model, schedule, x[a:b], int(steps[-1]), None, config.clip)
+    return SampleTrajectory(states=states, final=final)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ class TestRowBlocks:
         model = lambda x, t: calls.append(x.shape) or eps_model(x, t)
         return run_sampler(config, schedule, timesteps, model, initial, chains=chains), len(calls)
 
-    @pytest.mark.parametrize("chains", [None, CHAINS])
+    @pytest.mark.parametrize("chains", [None, CHAINS, 400])
     @pytest.mark.parametrize("dim", [1, 2, 8])
     @pytest.mark.parametrize("kind", ["full", "component", "interpolate", "negative_prompt"])
     @pytest.mark.parametrize("clip, clip_timing", [(batch_clip("quantile", q=0.9, ceiling=2.5), "every-step"),
@@ -357,6 +358,7 @@ class TestRowBlocks:
                                                           for block in (100, self.BATCH * dim + 1))
         assert blocked_calls > whole_calls
         assert [t for t, _ in blocked.states] == [t for t, _ in whole.states]
+        assert {state.shape for _, state in blocked.states} == {(min(chains or self.BATCH, self.BATCH), dim)}
         for (_, got), (_, want) in zip(blocked.states + [(None, blocked.final)], whole.states + [(None, whole.final)]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and got.flags.owndata
@@ -380,6 +382,28 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match=re.escape("eps model returned shape (1, 2) for state shape (50, 2)")):
             run_sampler(SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4),
                         lambda x, t: np.zeros((1, 2)), np.zeros((self.BATCH, 2)))
+
+    def test_a_re_noised_run_holds_no_full_batch_noise_array(self, linear_schedule):
+        # Each block draws its own re-noise, so a gamma run holds at most a few blocks more than a plain one.
+        eps_model = make_eps_model(MixtureModel(weights=[1.0], means=[[0.3, -0.2]], variances=[0.04]),
+                                   linear_schedule)
+        initial = np.random.default_rng(0).standard_normal((100_000, 2))
+        timesteps = equidistant_schedule(linear_schedule, 4)
+
+        def traced_peak(variant):
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                run_sampler(SamplerConfig(variant=variant), linear_schedule, timesteps, eps_model, initial, chains=1)
+                return (tracemalloc.get_traced_memory()[1] - before) / initial.nbytes
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+
+        plain, gamma = traced_peak("plain"), traced_peak("gamma")
+        assert gamma - plain < 0.5, (plain, gamma)
 
 
 class TestVariantDegeneration:
@@ -565,6 +589,14 @@ class TestGuards:
                 SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4),
                 make_eps_model(tight_gaussian, linear_schedule), np.zeros((2, 1)), chains=chains,
             )
+
+    def test_a_state_needs_a_column(self, linear_schedule, tight_gaussian):
+        args = (SamplerConfig(variant="gamma"), linear_schedule, equidistant_schedule(linear_schedule, 4),
+                make_eps_model(tight_gaussian, linear_schedule))
+        with pytest.raises(ValueError, match=re.escape("at least one column, got shape (5, 0)")):
+            run_sampler(*args, np.zeros((5, 0)))
+        empty = run_sampler(*args, np.zeros((0, 1)))
+        assert empty.final.shape == (0, 1) and all(state.shape == (0, 1) for _, state in empty.states)
 
     def test_gamma_i_requires_bound_curve(self, linear_schedule, tight_gaussian):
         bare = TimestepSchedule(

@@ -40,3 +40,10 @@ def test_accepts_numpy_integers():
     a = stream(np.int64(3), np.int64(1)).standard_normal(4)
     b = stream(3, 1).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+def test_a_draw_split_into_row_chunks_gives_the_same_bytes():
+    # run_sampler draws each row block's re-noise in turn and relies on this to match one whole-batch draw.
+    rng = stream(5, STREAM_RENOISE)
+    chunks = np.concatenate([rng.standard_normal((rows, 3)) for rows in (100, 1, 399, 500)])
+    assert chunks.tobytes() == stream(5, STREAM_RENOISE).standard_normal((1000, 3)).tobytes()
