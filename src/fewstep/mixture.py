@@ -3,10 +3,10 @@
 Components are isotropic, so the diffused mixture at timestep ``t`` stays a
 mixture with means ``sqrt(ab_t) * mu_k`` and variances ``ab_t * var_k + (1 - ab_t)``,
 and the score is available in closed form. Component indices double as
-condition labels for guidance experiments: the conditional model of a label is
-its component, a one-component model that ``component`` builds once and shares,
-and the unconditional model is the full mixture. A conditioned noise prediction
-is that component model's own prediction.
+condition labels for guidance experiments. ``component(label)`` is the one place
+a label becomes a model, its one-component model, built once and shared; a label
+must be an integer, and anything else raises ``TypeError``. A conditioned noise
+prediction is asked of that model; the unconditional model is the full mixture.
 
 A noise prediction diffuses the model's components as plain arrays, builds no
 model and keeps its input's memory layout. A single component has the score
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class MixtureModel:
 
     def component(self, label: int) -> "MixtureModel":
         """Restrict to one component, the conditional model for that label; built once per label and shared."""
-        label = int(label)
+        label = operator.index(label)
         if not 0 <= label < self.num_components:
             raise ValueError(f"unknown condition label {label}, model has {self.num_components} components")
         if label not in self._components:
@@ -126,19 +126,8 @@ class MixtureModel:
         shifted = np.exp(ll - peak)
         return diff, shifted, shifted.sum(axis=0), peak
 
-    def epsilon_prediction(
-        self,
-        schedule: NoiseSchedule,
-        x: np.ndarray,
-        t: int,
-        condition: Optional[int] = None,
-    ) -> np.ndarray:
-        """Exact noise prediction ``-sqrt(1 - ab_t) * score`` at timestep ``t``.
-
-        With ``condition`` set, it is the prediction of ``component(condition)``.
-        """
-        if condition is not None:
-            return self.component(condition).epsilon_prediction(schedule, x, t)
+    def epsilon_prediction(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
+        """Exact noise prediction ``-sqrt(1 - ab_t) * score`` at ``t``; ``component(label)`` conditions it."""
         ab = schedule.alpha_bar_at(t)
         out = self._score(ab, x)
         return np.multiply(out, -math.sqrt(1.0 - ab), out=out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ class NoiseSchedule:
 
     def alpha_bar_at(self, t: int) -> float:
         """``alpha_bars[t]``; a timestep outside ``[0, num_steps - 1]`` raises ``IndexError``."""
-        t = int(t)
+        t = operator.index(t)
         if not 0 <= t < self.num_steps:
             raise IndexError(f"timestep {t} outside [0, {self.num_steps - 1}]")
         return float(self.alpha_bars[t])

@@ -7,6 +7,8 @@ another. Batched chains share one vectorized stream with rows as chains.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -25,4 +27,4 @@ STREAM_PROJECTIONS = 3
 
 def stream(seed: int, purpose: int) -> np.random.Generator:
     """Generator for one purpose under a root seed."""
-    return np.random.default_rng([int(seed), int(purpose)])
+    return np.random.default_rng([operator.index(seed), operator.index(purpose)])

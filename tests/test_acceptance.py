@@ -200,8 +200,8 @@ def test_criterion_7_exposure_mitigation_ordering(linear_schedule):
         )
 
         def guided(x, t):
-            cond = family.epsilon_prediction(linear_schedule, x, t, condition=0)
-            neg = family.epsilon_prediction(linear_schedule, x, t, condition=1)
+            cond = family.component(0).epsilon_prediction(linear_schedule, x, t)
+            neg = family.component(1).epsilon_prediction(linear_schedule, x, t)
             return guide_negative(cond, neg, 7.5)
 
         timesteps = equidistant_schedule(linear_schedule, 8)

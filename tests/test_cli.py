@@ -1025,11 +1025,12 @@ class TestRunExperiment:
         run_experiment(cfg)
         ((schedule, eps_model),) = captured
         model = mixture_preset("skewed-2d")
+        side = lambda label: model if label is None else model.component(label)
         x = np.random.default_rng(7).normal(size=(32, 2))
         for t in (0, 250, 700, 999):
-            expected = model.epsilon_prediction(schedule, x, t, condition=cfg.condition)
+            expected = side(cfg.condition).epsilon_prediction(schedule, x, t)
             if combine is not None:
-                expected = combine(expected, model.epsilon_prediction(schedule, x, t, condition=other), cfg.cfg_scale)
+                expected = combine(expected, side(other).epsilon_prediction(schedule, x, t), cfg.cfg_scale)
             got = eps_model(x, t)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 

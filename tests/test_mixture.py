@@ -99,6 +99,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="label"):
             bimodal.component(2)
 
+    def test_component_takes_only_integer_labels(self, bimodal):
+        assert bimodal.component(np.int64(1)) is bimodal.component(1)
+        for label in (0.9, "2"):
+            with pytest.raises(TypeError):
+                bimodal.component(label)
+
     def test_arrays_are_immutable(self, bimodal):
         with pytest.raises(ValueError):
             bimodal.means[0, 0] = 0.0
@@ -194,7 +200,7 @@ class TestDensityAndScore:
     def test_every_entry_point_rejects_non_finite_input(self, skewed, linear_schedule, entry):
         call = {
             "log_density": skewed.log_density,
-            "conditioned": lambda x: skewed.epsilon_prediction(linear_schedule, x, 100, condition=0),
+            "conditioned": lambda x: skewed.component(0).epsilon_prediction(linear_schedule, x, 100),
         }[entry]
         for x in (np.array([np.nan, 0.0]), np.array([[0.0, 0.0], [0.0, -np.inf]])):
             with pytest.raises(ValueError, match="finite"):
@@ -221,24 +227,26 @@ class TestEpsilonPrediction:
     def test_conditioning_restricts_to_component(self, bimodal, skewed, linear_schedule):
         x = np.array([0.5])
         t = 300
-        got = bimodal.epsilon_prediction(linear_schedule, x, t, condition=0)
-        expected = bimodal.component(0).epsilon_prediction(linear_schedule, x, t)
-        assert np.array_equal(got, expected)
-        far = bimodal.epsilon_prediction(linear_schedule, x, t, condition=1)
-        assert not np.allclose(got, far)
+        near = bimodal.component(0).epsilon_prediction(linear_schedule, x, t)
+        far = bimodal.component(1).epsilon_prediction(linear_schedule, x, t)
+        assert not np.allclose(near, far)
+        # A label's prediction is its one Gaussian's: -sqrt(1 - ab) * (sqrt(ab) * mu_k - x) / (ab * var_k + 1 - ab).
         xs = np.random.default_rng(6).normal(size=(32, 2))
         for label in range(skewed.num_components):
+            mu, var = skewed.means[label], skewed.variances[label]
             for t in (0, 350, 999):
-                got = skewed.epsilon_prediction(linear_schedule, xs, t, condition=label)
-                expected = skewed.component(label).epsilon_prediction(linear_schedule, xs, t)
-                assert np.array_equal(got, expected)
+                ab = linear_schedule.alpha_bar_at(t)
+                expected = -np.sqrt(1.0 - ab) * (np.sqrt(ab) * mu - xs) / (ab * var + 1.0 - ab)
+                got = skewed.component(label).epsilon_prediction(linear_schedule, xs, t)
+                np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("condition", [None, 0])
-    def test_a_prediction_keeps_its_input_layout(self, skewed, linear_schedule, condition):
+    @pytest.mark.parametrize("label", [None, 0])
+    def test_a_prediction_keeps_its_input_layout(self, skewed, linear_schedule, label):
         # The sampler hands the oracle column-major rows; C-ordered callers get C-ordered predictions.
+        model = skewed if label is None else skewed.component(label)
         x = np.random.default_rng(3).normal(size=(64, 2))
         for t in (0, 350, 999):
-            c, f = (skewed.epsilon_prediction(linear_schedule, order(x), t, condition)
+            c, f = (model.epsilon_prediction(linear_schedule, order(x), t)
                     for order in (np.ascontiguousarray, np.asfortranarray))
             assert c.flags.c_contiguous and np.isfortran(f)
             assert c.tobytes() == f.tobytes()

@@ -29,8 +29,8 @@ from fewstep.timesteps import (
 )
 
 
-def make_eps_model(mixture, schedule, condition=None):
-    return lambda x, t: mixture.epsilon_prediction(schedule, x, t, condition=condition)
+def make_eps_model(mixture, schedule):
+    return lambda x, t: mixture.epsilon_prediction(schedule, x, t)
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +209,8 @@ class TestLoopIsTheDocumentedSteps:
         mixture = mixture_preset("skewed-2d")
 
         def eps_model(x, t):
-            cond = mixture.epsilon_prediction(linear_schedule, x, t, condition=0)
-            return guide_negative(cond, mixture.epsilon_prediction(linear_schedule, x, t, condition=1), 7.5)
+            cond = mixture.component(0).epsilon_prediction(linear_schedule, x, t)
+            return guide_negative(cond, mixture.component(1).epsilon_prediction(linear_schedule, x, t), 7.5)
 
         timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
         assert IMPORTANCE in timesteps.provenance
@@ -230,8 +230,8 @@ def guided_or_full_model(dim, schedule):
     """A guided conditioned pair on skewed-2d at dim 2; an unguided full five-component mixture otherwise."""
     if dim == 2:
         mixture = mixture_preset("skewed-2d")
-        return lambda x, t: guide_negative(mixture.epsilon_prediction(schedule, x, t, condition=0),
-                                           mixture.epsilon_prediction(schedule, x, t, condition=1), 7.5)
+        return lambda x, t: guide_negative(mixture.component(0).epsilon_prediction(schedule, x, t),
+                                           mixture.component(1).epsilon_prediction(schedule, x, t), 7.5)
     rng = np.random.default_rng(dim)
     mixture = MixtureModel(weights=np.full(5, 0.2), means=rng.uniform(-1.0, 1.0, (5, dim)),
                            variances=rng.uniform(0.01, 0.05, 5))
@@ -299,7 +299,7 @@ def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
         guide_negative(cond, neg, 3.0),
         guide_interpolate(cond, neg, 3.0),
         mixture.epsilon_prediction(linear_schedule, x, 400),
-        mixture.epsilon_prediction(linear_schedule, x, 400, condition=1),
+        mixture.component(1).epsilon_prediction(linear_schedule, x, 400),
         mixture.score(linear_schedule, x, 400),
         mixture.score(linear_schedule, x[0], 400),
         mixture.component(0).score(linear_schedule, x, 400),
@@ -541,8 +541,8 @@ class TestTrajectory:
         mixture = mixture_preset("skewed-2d")
 
         def eps_model(x, t):
-            cond = mixture.epsilon_prediction(linear_schedule, x, t, condition=0)
-            return guide_negative(cond, mixture.epsilon_prediction(linear_schedule, x, t, condition=1), 7.5)
+            cond = mixture.component(0).epsilon_prediction(linear_schedule, x, t)
+            return guide_negative(cond, mixture.component(1).epsilon_prediction(linear_schedule, x, t), 7.5)
 
         timesteps = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
         config = SamplerConfig(variant=variant, clip=batch_clip("tanh-balance"), clip_timing=clip_timing, rng_seed=3)

@@ -82,6 +82,13 @@ def test_snr_index_errors(linear_schedule):
         linear_schedule.snr(-1)
 
 
+def test_alpha_bar_at_takes_only_integer_timesteps(linear_schedule):
+    assert linear_schedule.alpha_bar_at(np.int64(3)) == linear_schedule.alpha_bar_at(3)
+    for t in (0.9, "2"):
+        with pytest.raises(TypeError):
+            linear_schedule.alpha_bar_at(t)
+
+
 def test_forward_diffuse_zero_noise_scales_signal(linear_schedule):
     x0 = np.array([1.0, -2.0, 3.0])
     out = linear_schedule.forward_diffuse(x0, 100, np.zeros(3))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fewstep.seeding import (
     STREAM_GROUND_TRUTH,
@@ -40,6 +41,12 @@ def test_accepts_numpy_integers():
     a = stream(np.int64(3), np.int64(1)).standard_normal(4)
     b = stream(3, 1).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+def test_rejects_non_integer_arguments():
+    for seed, purpose in ((0.9, 1), ("2", 1), (3, 0.9), (3, "2")):
+        with pytest.raises(TypeError):
+            stream(seed, purpose)
 
 
 def test_a_draw_split_into_row_chunks_gives_the_same_bytes():
