@@ -48,8 +48,7 @@ def _predictions(a: np.ndarray, b: np.ndarray, omega: float) -> tuple[np.ndarray
 def guide_interpolate(eps_cond: np.ndarray, eps_uncond: np.ndarray, omega: float) -> np.ndarray:
     """Extrapolate beyond the unconditional prediction: ``(1 + omega) * eps_cond - omega * eps_uncond``."""
     eps_cond, eps_uncond = _predictions(eps_cond, eps_uncond, omega)
-    out = np.multiply(eps_cond, 1.0 + omega)
-    return np.subtract(out, np.multiply(eps_uncond, omega), out=out)
+    return (1.0 + omega) * eps_cond - omega * eps_uncond
 
 
 def guide_negative(eps_cond: np.ndarray, eps_neg: np.ndarray, omega: float) -> np.ndarray:
@@ -59,9 +58,7 @@ def guide_negative(eps_cond: np.ndarray, eps_neg: np.ndarray, omega: float) -> n
     negative prediction is the unconditional one.
     """
     eps_cond, eps_neg = _predictions(eps_cond, eps_neg, omega)
-    out = np.subtract(eps_cond, eps_neg)
-    out *= omega
-    return np.add(out, eps_neg, out=out)
+    return eps_neg + omega * (eps_cond - eps_neg)
 
 
 class CompoundingScale(NamedTuple):

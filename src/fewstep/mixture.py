@@ -107,8 +107,7 @@ class MixtureModel:
         x, squeeze = _as_batch(x, self.dim)
         means, variances = self._diffused(ab)
         if variances.size == 1:
-            out = np.subtract(means[0], x)
-            out /= variances[0]
+            out = (means[0] - x) / variances[0]
         else:
             diff, shifted, total, _ = self._kernel(means, variances, x)
             shifted /= variances[:, None] * total
@@ -129,8 +128,7 @@ class MixtureModel:
     def epsilon_prediction(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Exact noise prediction ``-sqrt(1 - ab_t) * score`` at ``t``; ``component(label)`` conditions it."""
         ab = schedule.alpha_bar_at(t)
-        out = self._score(ab, x)
-        return np.multiply(out, -math.sqrt(1.0 - ab), out=out)
+        return -math.sqrt(1.0 - ab) * self._score(ab, x)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
         """Exact ancestral samples of shape ``(count, dim)``, drawn from ``rng_seed``: a seed or a Generator."""
@@ -189,7 +187,8 @@ def mixture_preset(name: str) -> MixtureModel:
 def mixture_from_config(source: dict) -> MixtureModel:
     """Build a mixture from a parsed mixture file (``config.load_json_object`` reads one).
 
-    Expected shape: ``{"components": [{"weight": w, "mean": [...], "variance": v}, ...]}``.
+    Expected shape: ``{"components": [{"weight": w, "mean": [...], "variance": v}, ...]}``; any other key,
+    at the top or in a component, raises ``ValueError``.
     """
     if not isinstance(source, dict):
         raise ValueError(f"mixture config must be a JSON object, got {type(source).__name__}")
@@ -202,6 +201,9 @@ def mixture_from_config(source: dict) -> MixtureModel:
         variances = [c["variance"] for c in components]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mixture component entry: {exc}") from None
+    unknown = sorted(set(source) - {"components"}) + sorted(set().union(*components) - {"weight", "mean", "variance"})
+    if unknown:
+        raise ValueError(f"unknown mixture keys: {unknown}")
     # Config files' number rule, applied before NumPy would coerce booleans and strings.
     entries = {"weight": weights, "mean": [v for mean in means for v in mean], "variance": variances}
     for key, values in entries.items():

@@ -16,7 +16,7 @@ __all__ = ["CLIP_METHODS", "batch_clip"]
 CLIP_METHODS = ("none", "tanh-balance", "balance-tanh", "quantile")
 
 
-def _balance(x: np.ndarray, shift: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _balance(x: np.ndarray, shift: float) -> np.ndarray:
     # Each row's mean is the stacked product x[:, None, :] @ w, w = 1/d: one BLAS dot per row, summed from +0.0.
     # At d <= 2 the same sum over the columns is bit-equal and makes no call per row. At d >= 3 a plain 2-D
     # x @ w, np.einsum or a dot over strided rows rounds some means differently, so the rows are made C first.
@@ -27,8 +27,7 @@ def _balance(x: np.ndarray, shift: float, out: Optional[np.ndarray] = None) -> n
             m += x[:, 1:] * 0.5
     else:
         m = np.ascontiguousarray(x)[:, None, :] @ np.full(d, 1.0 / d)
-    m *= shift
-    return np.subtract(x, m, out=out)
+    return x - shift * m
 
 
 def _quantile(x: np.ndarray, q: float, ceiling: float) -> np.ndarray:
@@ -52,9 +51,9 @@ def batch_clip(
     if method == "none":
         return None
     if method == "tanh-balance":
-        return lambda x: np.tanh(y := _balance(x, shift), out=y)
+        return lambda x: np.tanh(_balance(x, shift))
     if method == "balance-tanh":
-        return lambda x: _balance(y := np.tanh(x), shift, out=y)
+        return lambda x: _balance(np.tanh(x), shift)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile q must lie in (0, 1], got {q}")
     if ceiling < 1.0:

@@ -108,9 +108,7 @@ def denoise_step(
         raise ValueError(f"eps model returned shape {eps.shape} for state shape {x.shape}")
     if not np.isfinite(eps).all():
         raise NumericalError(f"non-finite noise prediction at timestep {t_from}")
-    x0_hat = np.multiply(eps, math.sqrt(1.0 - ab))
-    np.subtract(x, x0_hat, out=x0_hat)
-    x0_hat /= math.sqrt(ab)
+    x0_hat = (x - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
     if clip is not None:
         if not np.isfinite(x0_hat).all():
             raise NumericalError(f"non-finite clean-state estimate at timestep {t_from}")

@@ -365,6 +365,17 @@ class TestSampleCommand:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == f"error: bad mixture file {path}: weights must sum to 1 within 1e-12, got 0.5\n"
 
+    @pytest.mark.parametrize("mapping, unknown", [
+        ({"components": [{"weight": 1.0, "mean": [0.0], "variance": 1.0}], "extra": 1}, "['extra']"),
+        ({"components": [{"weight": 1.0, "mean": [0.0], "variance": 1.0, "bogus": 3}]}, "['bogus']"),
+    ], ids=["top-level", "component"])
+    def test_unknown_mixture_keys_exit_one(self, mapping, unknown, tmp_path, capsys):
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps(mapping))
+        code, out = run_cli("sample", "--batch", "8", "--mixture", str(path))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: bad mixture file {path}: unknown mixture keys: {unknown}\n"
+
     @pytest.mark.parametrize("component, phrase", [
         ({"weight": math.nan, "mean": [0.0], "variance": 1.0}, "finite"),
         ({"weight": 1.0, "mean": [math.nan], "variance": 1.0}, "finite"),

@@ -408,6 +408,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="JSON object"):
             mixture_from_config([1, 2])
 
+    @pytest.mark.parametrize("source, unknown", [
+        ({"components": [{"weight": 1.0, "mean": [0.0], "variance": 1.0}], "extra": 1}, ["extra"]),
+        ({"components": [{"weight": 1.0, "mean": [0.0], "variance": 1.0, "bogus": 3}]}, ["bogus"]),
+        ({"components": [{"weight": 1.0, "mean": [0.0], "variance": 1.0, "b": 0, "a": 0}], "z": 0}, ["z", "a", "b"]),
+    ], ids=["top-level", "component", "both"])
+    def test_rejects_unknown_keys(self, source, unknown):
+        with pytest.raises(ValueError, match=f"^unknown mixture keys: {re.escape(str(unknown))}$"):
+            mixture_from_config(source)
+
     def test_an_empty_component_list_names_the_components(self):
         with pytest.raises(ValueError, match="^mixture config must list at least one component$"):
             mixture_from_config({"components": []})

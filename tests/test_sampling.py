@@ -280,8 +280,8 @@ class TestLayout:
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
-    # Each step operation allocates its result and works in place on that; writing into an argument
-    # would raise here, because every input is read-only.
+    # Each step operation allocates its result; writing into an argument would raise here, because every
+    # input is read-only.
     rng = np.random.default_rng(5)
     inputs = [np.array(rng.standard_normal((16, 3)), order=order) for _ in range(4)]
     for a in inputs:
@@ -309,6 +309,17 @@ def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
     assert [a.tobytes() for a in inputs] == before
     for out in outputs:
         assert out.flags.writeable and not any(np.shares_memory(out, a) for a in inputs)
+
+
+@pytest.mark.parametrize("state_order, noise_order", [("C", "F"), ("F", "C")])
+def test_forward_kernels_keep_the_state_layout(linear_schedule, state_order, noise_order):
+    # The sampler hands a column-major state to the model, so re-noising must not turn it to C order
+    # whatever layout the noise has.
+    rng = np.random.default_rng(8)
+    x = np.array(rng.standard_normal((16, 3)), order=state_order)
+    noise = np.array(rng.standard_normal((16, 3)), order=noise_order)
+    for out in (noisify(linear_schedule, x, 300, 400, noise), linear_schedule.forward_diffuse(x, 300, noise)):
+        assert (out.flags.c_contiguous, out.flags.f_contiguous) == (x.flags.c_contiguous, x.flags.f_contiguous)
 
 
 def row_block_model(kind, dim, schedule):
