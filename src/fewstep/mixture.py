@@ -13,7 +13,9 @@ model and keeps its input's memory layout. A single component has the score
 ``(mu' - x) / var'``. Several components go through one kernel, shared with
 ``log_density``, that lays the offsets ``mu' - x`` out component-major as
 ``(K, d, batch)``: squared distances and the weighted pull are ``einsum``s and
-the log-sum-exp reduces over K, never over a short axis once per row.
+the log-sum-exp reduces over K, never over a short axis once per row. A row's
+prediction and log-density do not depend on its batch: NumPy sums a one-row
+batch's ``einsum``s in another order, so a lone row goes in as the first of two.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ class MixtureModel:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Mixture log-density at ``x`` of shape ``(d,)`` or ``(batch, d)``."""
-        x, squeeze = _as_batch(x, self.dim)
+        x, rows = _as_batch(x, self.dim)
         _, _, total, peak = self._kernel(self.means, self.variances, x)
         out = peak + np.log(total)
-        return out[0] if squeeze else out
+        return out[rows]
 
     def score(self, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
         """Gradient of the diffused mixture's log-density at ``x``."""
@@ -104,7 +106,7 @@ class MixtureModel:
 
     def _score(self, ab: float, x: np.ndarray) -> np.ndarray:
         # Score of the diffused density at alpha-bar ``ab``.
-        x, squeeze = _as_batch(x, self.dim)
+        x, rows = _as_batch(x, self.dim)
         means, variances = self._diffused(ab)
         if variances.size == 1:
             out = (means[0] - x) / variances[0]
@@ -112,7 +114,7 @@ class MixtureModel:
             diff, shifted, total, _ = self._kernel(means, variances, x)
             shifted /= variances[:, None] * total
             out = np.einsum("kdb,kb->bd", diff, shifted, order="F" if np.isfortran(x) else "C")
-        return out[0] if squeeze else out
+        return out[rows]
 
     def _kernel(self, means: np.ndarray, variances: np.ndarray, x: np.ndarray) -> tuple:
         # Offsets mu - x as (K, d, B), exp(log-density - peak) as (K, B), its sum over K and
@@ -146,17 +148,17 @@ class MixtureModel:
         return self.means[labels] + np.sqrt(self.variances[labels])[:, None] * noise
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, int | slice]:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("the mixture oracle requires finite input")
     if x.ndim == 1:
         if x.shape[0] != dim:
             raise ValueError(f"expected vectors of dimension {dim}, got shape {x.shape}")
-        return x[None, :], True
+        return np.repeat(x[None, :], 2, axis=0), 0
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"expected shape (batch, {dim}), got {x.shape}")
-    return x, False
+    return (np.repeat(x, 2, axis=0), slice(1)) if len(x) == 1 else (x, slice(None))
 
 
 MIXTURE_PRESETS = {

@@ -177,9 +177,9 @@ def run_sampler(
             batch, or one block of rows at a time when it spans more than 16,384
             values. A prediction of the wrong shape names the block's shape.
         initial: full-noise start, shape ``(batch, dim)`` with ``dim >= 1``;
-            one chain is ``initial[None, :]``. Rows are independent chains
-            sharing one vectorized noise stream; the re-noise is drawn block
-            by block in row order, with the bytes of one whole-batch draw.
+            one chain is ``initial[None, :]``. A ``plain`` chain's bytes do not
+            depend on its batch; the gamma variants' re-noise is one stream,
+            drawn block by block in row order: the bytes of one whole-batch draw.
         chains: how many leading chains each visited state keeps, as its own
             copy, so the full batch of a passed step can be freed; ``None``
             keeps every chain.
@@ -214,10 +214,7 @@ def run_sampler(
     rng = stream(config.rng_seed, STREAM_RENOISE)
     batch, dim = x.shape
     keep = min(chains or batch, batch)
-    # Contiguous row blocks of at most _BLOCK_VALUES values, one block for a batch that fits. No block is a lone row,
-    # which the mixture oracle's einsum sums in another order: the last block takes it.
-    starts = range(0, max(batch - 1, 1), max(2, _BLOCK_VALUES // dim))
-    blocks = list(zip(starts, [*starts[1:], batch]))
+    rows = max(1, _BLOCK_VALUES // dim)  # per contiguous row block, at least one; a batch that fits is one block
 
     # Each state is its own copy of the kept rows, so none aliases ``initial`` or pins a full batch.
     states = [(int(steps[0]), x[:chains].copy())]
@@ -225,18 +222,18 @@ def run_sampler(
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
         out, kept = np.empty((batch, dim), order="F"), None if mid == t_anchor else np.empty((keep, dim))
-        for a, b in blocks:
-            y = denoise_step(eps_model, schedule, x[a:b], t_prev, mid, step_clip)
+        for a in range(0, batch, rows):
+            y = denoise_step(eps_model, schedule, x[a:a + rows], t_prev, mid, step_clip)
             if kept is not None:  # the block's re-noise, drawn in row order: the bytes of one whole-batch draw
-                kept[a:b] = y[:max(keep - a, 0)]
+                kept[a:a + rows] = y[:max(keep - a, 0)]
                 y = noisify(schedule, y, mid, t_anchor, rng.standard_normal(y.shape))
-            out[a:b] = y
+            out[a:a + rows] = y
             del y  # so the next block's step does not run beside this one's result
         x = out
         if kept is not None:
             states.append((mid, kept))
         states.append((t_anchor, x[:chains].copy()))
     final = np.empty((batch, dim))
-    for a, b in blocks:
-        final[a:b] = denoise_step(eps_model, schedule, x[a:b], int(steps[-1]), None, config.clip)
+    for a in range(0, batch, rows):
+        final[a:a + rows] = denoise_step(eps_model, schedule, x[a:a + rows], int(steps[-1]), None, config.clip)
     return SampleTrajectory(states=states, final=final)

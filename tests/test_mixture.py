@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from fewstep.cli import run_experiment
 from fewstep.config import ExperimentConfig, load_json_object
 from fewstep.mixture import MIXTURE_PRESETS, MixtureModel, mixture_from_config, mixture_preset
 from fewstep.schedules import build_schedule
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -479,3 +482,27 @@ def test_oracle_matches_a_per_component_loop(linear_schedule, components, dim, b
     assert np.all(np.abs(model._score(ab, x) - score) <= 1e-12 * size * pull_size)
     diffused = model.diffused_params(linear_schedule, t)
     assert np.all(np.abs(diffused.log_density(x) - log_p) <= 1e-12 * size[:, 0])
+
+
+@pytest.mark.parametrize("source", [1, 3, 8, "family-8d"])
+def test_a_row_alone_gets_the_bytes_of_its_batch_row(linear_schedule, source):
+    # NumPy sums a one-row batch's einsums in another order than a longer batch's, which moved the last bits of
+    # a lone row's prediction at d = 1 and d >= 3. A row as a (1, d) batch or a (d,) vector must not differ.
+    differ = []
+    for probe, t in enumerate((0, 150, 350, 500, 750, 999)):
+        rng = np.random.default_rng(probe)
+        if source == "family-8d":
+            model = mixture_from_config(json.loads((ROOT / "tools" / "family-8d.json").read_text()))
+        else:
+            model = MixtureModel(weights=np.full(3, 1 / 3), means=rng.uniform(-1.0, 1.0, (3, source)),
+                                 variances=rng.uniform(0.01, 0.5, 3))
+        x = model.means.mean(axis=0) + rng.normal(scale=0.8, size=(37, model.dim))
+        predictions = {"epsilon_prediction": lambda x: model.epsilon_prediction(linear_schedule, x, t),
+                       "score": lambda x: model.score(linear_schedule, x, t),
+                       "log_density": model.diffused_params(linear_schedule, t).log_density}
+        for name, predict in predictions.items():
+            batch = predict(x)
+            differ += [(name, t, i) for i in range(len(x))
+                       if predict(x[i:i + 1]).tobytes() != batch[i:i + 1].tobytes()
+                       or np.asarray(predict(x[i])).tobytes() != batch[i].tobytes()]
+    assert differ == []

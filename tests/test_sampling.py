@@ -342,7 +342,7 @@ class TestRowBlocks:
     """A batch wider than one block runs each step block by block, with the bytes of the whole-batch step."""
 
     # With 100-value blocks (100, 50 and 12 rows at d = 1, 2 and 8), 301 rows leave one row over at each d:
-    # the last block takes it, and the first block holds fewer than CHAINS rows.
+    # the last block is that lone row, and the first block holds fewer than CHAINS rows.
     BATCH, CHAINS = 301, 150
 
     @staticmethod
@@ -374,10 +374,10 @@ class TestRowBlocks:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and got.flags.owndata
 
-    @pytest.mark.parametrize("block, calls", [(100, 3), (10_000, 1)])
+    @pytest.mark.parametrize("block, calls", [(100, 4), (10_000, 1)])
     def test_a_non_finite_prediction_in_a_later_block_raises_the_same_error(self, linear_schedule, monkeypatch,
                                                                             block, calls):
-        # Only the last row predicts NaN; with 100-value blocks it is in the third block of the first step.
+        # Only the last row predicts NaN; with 100-value blocks it is the fourth block of the first step, alone.
         monkeypatch.setattr(sampling, "_BLOCK_VALUES", block)
         initial = np.zeros((self.BATCH, 1))
         initial[-1] = 1.0
@@ -415,6 +415,20 @@ class TestRowBlocks:
 
         plain, gamma = traced_peak("plain"), traced_peak("gamma")
         assert gamma - plain < 0.5, (plain, gamma)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["full", "interpolate"])
+def test_a_plain_chain_run_alone_gets_its_batch_bytes(linear_schedule, default_curve, kind, dim):
+    # The gamma variants draw their re-noise from one stream in row order, so a chain alone draws other normals;
+    # for them TestRowBlocks checks that blocks, a lone last row among them, give the whole-batch bytes.
+    config = SamplerConfig(variant="plain", clip=batch_clip("tanh-balance"))
+    args = (config, linear_schedule, adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7),
+            row_block_model(kind, dim, linear_schedule))
+    initial = np.random.default_rng(dim).standard_normal((9, dim))
+    whole = run_sampler(*args, initial).final
+    alone = [run_sampler(*args, initial[i:i + 1]).final for i in range(len(initial))]
+    assert [i for i, final in enumerate(alone) if final.tobytes() != whole[i].tobytes()] == []
 
 
 class TestVariantDegeneration:
