@@ -133,17 +133,14 @@ class MixtureModel:
         return -math.sqrt(1.0 - ab) * self._score(ab, x)
 
     def sample_ground_truth(self, count: int, rng_seed) -> np.ndarray:
-        """Exact ancestral samples of shape ``(count, dim)``, drawn from ``rng_seed``: a seed or a Generator."""
+        """Exact samples ``(count, dim)`` from a seed or Generator; the labels are ``Generator.choice(p=weights)``."""
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         rng = np.random.default_rng(rng_seed)
         if self.num_components == 1:  # the label draw's uniforms are spent, so the stream moves on as below
             rng.random(count)
             return self.means + np.sqrt(self.variances) * rng.standard_normal((count, self.dim))
-        # Generator.choice's draw with p=weights, without its checks, which __post_init__ has made.
-        cdf = self.weights.cumsum()
-        cdf /= cdf[-1]
-        labels = cdf.searchsorted(rng.random(count), side="right")
+        labels = rng.choice(self.num_components, count, p=self.weights)
         noise = rng.standard_normal((count, self.dim))
         return self.means[labels] + np.sqrt(self.variances[labels])[:, None] * noise
 

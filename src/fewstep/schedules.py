@@ -71,10 +71,10 @@ class NoiseSchedule:
         return np.add(out, np.multiply(noise, math.sqrt(1.0 - ab)), out=out)
 
 
-def _cosine_alpha_bars(num_steps: int, offset: float = 0.008) -> np.ndarray:
+def _cosine_alpha_bars(num_steps: int) -> np.ndarray:
     # Squared-cosine signal-retention profile evaluated at step boundaries.
     ts = np.arange(num_steps + 1, dtype=np.float64) / num_steps
-    f = np.cos((ts + offset) / (1.0 + offset) * np.pi / 2.0) ** 2
+    f = np.cos((ts + 0.008) / 1.008 * np.pi / 2.0) ** 2
     return f / f[0]
 
 

@@ -340,8 +340,8 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     @pytest.mark.parametrize("preset", ["bimodal-1d", "grid-2d", "skewed-2d", "one component"])
     def test_draws_are_generator_choices(self, preset, seed, count):
-        # The labels are Generator.choice's draw with p=weights, taken without its checks: the same
-        # samples, and the same next draw of the stream.
+        # The labels are Generator.choice's draw with p=weights, which a one-component model skips
+        # without labels: the same samples, and the same next draw of the stream.
         if preset == "one component":
             model = MixtureModel(weights=[1.0], means=[[0.3, -0.2]], variances=[0.05])
         else:

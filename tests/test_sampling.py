@@ -311,6 +311,23 @@ def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
         assert out.flags.writeable and not any(np.shares_memory(out, a) for a in inputs)
 
 
+@pytest.mark.parametrize("writeable", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("variant", SAMPLER_VARIANTS)
+def test_run_sampler_leaves_its_initial_alone(linear_schedule, default_curve, monkeypatch, variant, order, writeable):
+    # np.asfortranarray hands an F-ordered float64 initial back as the same array, so the loop must never write
+    # into its state: a read-only initial would raise, a writeable one would change under the caller.
+    monkeypatch.setattr(sampling, "_BLOCK_VALUES", 100)
+    initial = np.array(np.random.default_rng(4).standard_normal((120, 3)), order=order)
+    initial.flags.writeable = writeable
+    before = initial.tobytes(order="A")
+    config = SamplerConfig(variant=variant, clip=batch_clip("tanh-balance"), rng_seed=3)
+    timesteps = adaptive_schedule(linear_schedule, default_curve, 6, theta=0.7)
+    out = run_sampler(config, linear_schedule, timesteps, row_block_model("full", 3, linear_schedule), initial)
+    assert initial.tobytes(order="A") == before and initial.flags.writeable == writeable
+    assert not any(np.shares_memory(state, initial) for _, state in out.states + [(None, out.final)])
+
+
 @pytest.mark.parametrize("state_order, noise_order", [("C", "F"), ("F", "C")])
 def test_forward_kernels_keep_the_state_layout(linear_schedule, state_order, noise_order):
     # The sampler hands a column-major state to the model, so re-noising must not turn it to C order
