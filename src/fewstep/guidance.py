@@ -29,15 +29,15 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in GUIDANCE_MODES:
             raise ValueError(f"unknown guidance mode {self.mode!r}, expected one of {GUIDANCE_MODES}")
-        if self.omega < 0.0:
-            raise ValueError(f"omega must be non-negative, got {self.omega}")
-        if self.distill_omega is not None and self.distill_omega < 0.0:
-            raise ValueError(f"distill_omega must be non-negative, got {self.distill_omega}")
+        if not 0.0 <= self.omega < np.inf:  # written so that a NaN fails
+            raise ValueError(f"omega must be finite and non-negative, got {self.omega}")
+        if self.distill_omega is not None and not 0.0 <= self.distill_omega < np.inf:
+            raise ValueError(f"distill_omega must be finite and non-negative, got {self.distill_omega}")
 
 
 def _predictions(a: np.ndarray, b: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    if omega < 0.0:
-        raise ValueError(f"omega must be non-negative, got {omega}")
+    if not 0.0 <= omega < np.inf:  # written so that a NaN fails
+        raise ValueError(f"omega must be finite and non-negative, got {omega}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -73,8 +73,8 @@ def compounding_scale(omega: float, distill_omega: float) -> CompoundingScale:
     coefficient ``alpha = (omega - 1) / (omega * distill_omega)``, reported as
     ``None`` when the product is zero.
     """
-    if omega < 0.0 or distill_omega < 0.0:
-        raise ValueError("omega and distill_omega must be non-negative")
+    if not (0.0 <= omega < np.inf and 0.0 <= distill_omega < np.inf):  # written so that a NaN fails
+        raise ValueError("omega and distill_omega must be finite and non-negative")
     scale = omega * distill_omega
     alpha = (omega - 1.0) / scale if scale != 0.0 else None
     return CompoundingScale(scale=scale, alpha=alpha)

@@ -42,19 +42,16 @@ def mixture_moments(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def moments_error(samples: np.ndarray, model: MixtureModel) -> tuple[float, float]:
-    """L2 mean error and Frobenius covariance error against the mixture's moments."""
+    """L2 mean and Frobenius covariance errors against the mixture's moments; the covariance is np.cov's (bias=True)."""
     samples = _finite(samples, "moment error")
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError(f"expected a non-empty (batch, dim) array, got shape {samples.shape}")
     true_mean, true_cov = mixture_moments(model)
-    mean_error = float(np.linalg.norm(samples.mean(axis=0) - true_mean))
-    # np.cov(samples, rowvar=False, bias=True)'s own steps, without its wrapper.
-    x = np.array(samples).T
-    x -= x.mean(axis=1)[:, None]
-    empirical_cov = np.dot(x, x.T)
-    empirical_cov *= np.true_divide(1, x.shape[1])
-    cov_error = float(np.linalg.norm(empirical_cov - true_cov))
-    return mean_error, cov_error
+    mean = samples.mean(axis=0)
+    centred = (samples - mean).T
+    cov = np.dot(centred, centred.T)
+    cov *= np.true_divide(1, len(samples))
+    return float(np.linalg.norm(mean - true_mean)), float(np.linalg.norm(cov - true_cov))
 
 
 def _sorted_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,13 +50,15 @@ def batch_clip(
         raise ValueError(f"unknown clip method {method!r}, expected one of {CLIP_METHODS}")
     if method == "none":
         return None
+    if method != "quantile" and not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     if method == "tanh-balance":
         return lambda x: np.tanh(_balance(x, shift))
     if method == "balance-tanh":
         return lambda x: _balance(np.tanh(x), shift)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile q must lie in (0, 1], got {q}")
-    if ceiling < 1.0:
+    if not ceiling >= 1.0:  # written so that a NaN fails; an infinite ceiling is no cap
         raise ValueError(f"ceiling must be at least 1, got {ceiling}")
     if ceiling == 1.0:  # every threshold clamps to 1, so q has no effect: bit-equal to _quantile(x, q, 1.0)
         return lambda x: np.clip(x, -1.0, 1.0)

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .importance import schedule_fingerprint
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, _forward
 from .seeding import STREAM_RENOISE, stream
 from .timesteps import IMPORTANCE, TimestepSchedule
 
@@ -126,21 +126,16 @@ def noisify(
     t_to: int,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Forward kernel from ``t_from`` up to ``t_to``, preserving marginals.
+    """Forward kernel from ``t_from`` up to ``t_to``, preserving marginals, in ``x``'s layout.
 
-    ``x_to = sqrt(ab_to / ab_from) * x + sqrt(1 - ab_to / ab_from) * noise``. A ``t_to`` that is
-    not above ``t_from`` raises ``ValueError``.
+    ``x_to = sqrt(ab_to / ab_from) * x + sqrt(1 - ab_to / ab_from) * noise``, ``forward_diffuse``'s
+    kernel. A ``t_to`` that is not above ``t_from`` raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=np.float64)
     # alpha_bar falls strictly with t, so the ratio is below 1 exactly when t_to is above t_from.
     ratio = schedule.alpha_bar_at(t_to) / schedule.alpha_bar_at(t_from)
     if ratio >= 1.0:
         raise ValueError(f"noisify must move up in time, got {t_from} -> {t_to}")
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != x.shape:
-        raise ValueError(f"noise shape {noise.shape} does not match state shape {x.shape}")
-    out = np.multiply(x, math.sqrt(ratio))  # in x's layout, whatever the noise's
-    return np.add(out, np.multiply(noise, math.sqrt(1.0 - ratio)), out=out)
+    return _forward(x, ratio, noise)
 
 
 def _intermediate_target(

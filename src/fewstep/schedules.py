@@ -61,14 +61,17 @@ class NoiseSchedule:
         return float(ab / (1.0 - ab))
 
     def forward_diffuse(self, x0: np.ndarray, t: int, noise: np.ndarray) -> np.ndarray:
-        """Diffuse clean data to timestep ``t``: ``sqrt(ab_t) * x0 + sqrt(1 - ab_t) * noise``."""
-        x0 = np.asarray(x0, dtype=np.float64)
-        noise = np.asarray(noise, dtype=np.float64)
-        if x0.shape != noise.shape:
-            raise ValueError(f"x0 shape {x0.shape} does not match noise shape {noise.shape}")
-        ab = self.alpha_bar_at(t)
-        out = np.multiply(x0, math.sqrt(ab))
-        return np.add(out, np.multiply(noise, math.sqrt(1.0 - ab)), out=out)
+        """Diffuse clean data to timestep ``t``: ``sqrt(ab_t) * x0 + sqrt(1 - ab_t) * noise``, in ``x0``'s layout."""
+        return _forward(x0, self.alpha_bar_at(t), noise)
+
+
+def _forward(x: np.ndarray, keep: float, noise: np.ndarray) -> np.ndarray:
+    """``sqrt(keep) * x + sqrt(1 - keep) * noise``, the one forward kernel, in ``x``'s layout whatever the noise's."""
+    x, noise = (np.asarray(v, dtype=np.float64) for v in (x, noise))
+    if noise.shape != x.shape:
+        raise ValueError(f"noise shape {noise.shape} does not match state shape {x.shape}")
+    out = np.multiply(x, math.sqrt(keep))  # the noise term too is formed in x's layout, so the add mixes none
+    return np.add(out, np.multiply(noise, math.sqrt(1.0 - keep), out=np.empty_like(out)), out=out)
 
 
 def _cosine_alpha_bars(num_steps: int) -> np.ndarray:

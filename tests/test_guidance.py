@@ -93,6 +93,21 @@ def test_interpolate_rejects_negative_scale():
         guide_interpolate(np.array([1.0]), np.array([0.0]), -1.0)
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+@pytest.mark.parametrize("name, call", [
+    ("omega", lambda s: GuidanceConfig(omega=s)),
+    ("distill_omega", lambda s: GuidanceConfig(distill_omega=s)),
+    ("omega", lambda s: guide_interpolate(np.zeros(2), np.ones(2), s)),
+    ("omega", lambda s: guide_negative(np.zeros(2), np.ones(2), s)),
+    ("omega", lambda s: compounding_scale(s, 2.0)),
+    ("distill_omega", lambda s: compounding_scale(2.0, s)),
+], ids=["config-omega", "config-distill", "interpolate", "negative", "compounding-omega", "compounding-distill"])
+def test_non_finite_scales_fail_at_the_edge(name, call, scale):
+    # A NaN or infinite scale would otherwise be carried through as NaN or ±inf predictions.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call(scale)
+
+
 class TestCompounding:
     def test_scales_multiply(self):
         result = compounding_scale(7.5, 2.0)

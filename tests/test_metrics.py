@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -65,18 +66,20 @@ class TestMoments:
         mean_err, _ = moments_error(samples, model)
         assert mean_err == pytest.approx(0.5, abs=0.01)
 
-    @pytest.mark.parametrize("batch", [1, 7, 512])
-    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [1, 7, 512, 20_000])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     def test_covariance_is_numpys_byte_for_byte(self, dim, batch):
-        # The covariance takes np.cov(rowvar=False, bias=True)'s own steps, so the error is the one
-        # np.cov gives, to the last bit.
+        # The covariance centres on the mean that np.cov(rowvar=False, bias=True) takes, so both errors are
+        # the ones NumPy gives, to the last bit, in either layout and past one sampler row block (16,384 values).
         model = MixtureModel(weights=[0.3, 0.7], means=[np.full(dim, -0.4), np.linspace(0.1, 0.9, dim)],
                              variances=[0.2, 0.05])
-        _, cov = mixture_moments(model)
-        for seed in range(4):
-            samples = np.random.default_rng(seed).normal(loc=0.3, scale=1.7, size=(batch, dim))
+        mean, cov = mixture_moments(model)
+        for seed, order in itertools.product(range(4), "CF"):
+            samples = np.array(np.random.default_rng(seed).normal(loc=0.3, scale=1.7, size=(batch, dim)), order=order)
             empirical = np.cov(samples, rowvar=False, bias=True).reshape(cov.shape)
-            assert moments_error(samples, model)[1] == float(np.linalg.norm(empirical - cov))
+            assert moments_error(samples, model) == (
+                float(np.linalg.norm(np.mean(samples, axis=0) - mean)), float(np.linalg.norm(empirical - cov))
+            )
 
     def test_rejects_empty_and_flat_input(self):
         model = mixture_preset("bimodal-1d")

@@ -220,5 +220,22 @@ class TestBatchClip:
         with pytest.raises(ValueError, match="ceiling"):
             batch_clip("quantile", ceiling=0.5)
 
+    @pytest.mark.parametrize("method, parameter, value", [
+        ("quantile", "ceiling", np.nan),
+        ("tanh-balance", "shift", np.nan),
+        ("tanh-balance", "shift", np.inf),
+        ("balance-tanh", "shift", np.nan),
+        ("balance-tanh", "shift", np.inf),
+        ("balance-tanh", "shift", -np.inf),
+    ])
+    def test_non_finite_parameters_fail_at_the_edge(self, method, parameter, value):
+        # Each would otherwise build a clip that turns every row into NaN or ±inf.
+        with pytest.raises(ValueError, match=parameter):
+            batch_clip(method, **{parameter: value})
+
+    def test_an_infinite_ceiling_is_no_cap(self):
+        x = np.array([[0.5, 8.0], [3e300, -1e-3]])
+        np.testing.assert_array_equal(batch_clip("quantile", q=1.0, ceiling=np.inf)(x), _quantile(x, 1.0, 1e301))
+
     def test_method_list_is_exhaustive(self):
         assert set(CLIP_METHODS) == {"none", "tanh-balance", "balance-tanh", "quantile"}

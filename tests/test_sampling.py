@@ -331,12 +331,16 @@ def test_run_sampler_leaves_its_initial_alone(linear_schedule, default_curve, mo
 @pytest.mark.parametrize("state_order, noise_order", [("C", "F"), ("F", "C")])
 def test_forward_kernels_keep_the_state_layout(linear_schedule, state_order, noise_order):
     # The sampler hands a column-major state to the model, so re-noising must not turn it to C order
-    # whatever layout the noise has.
+    # whatever layout the noise has; and the noise's layout moves no byte of the result.
     rng = np.random.default_rng(8)
     x = np.array(rng.standard_normal((16, 3)), order=state_order)
     noise = np.array(rng.standard_normal((16, 3)), order=noise_order)
-    for out in (noisify(linear_schedule, x, 300, 400, noise), linear_schedule.forward_diffuse(x, 300, noise)):
+    same = np.array(noise, order=state_order)
+    for kernel in (lambda n: noisify(linear_schedule, x, 300, 400, n),
+                   lambda n: linear_schedule.forward_diffuse(x, 300, n)):
+        out = kernel(noise)
         assert (out.flags.c_contiguous, out.flags.f_contiguous) == (x.flags.c_contiguous, x.flags.f_contiguous)
+        assert out.tobytes() == kernel(same).tobytes()
 
 
 def row_block_model(kind, dim, schedule):

@@ -119,7 +119,7 @@ def test_forward_diffuse_shape_mismatch(linear_schedule):
 
 
 def test_forward_diffuse_rejects_noise_that_would_broadcast(linear_schedule):
-    with pytest.raises(ValueError, match=re.escape("x0 shape (4, 2) does not match noise shape (1, 2)")):
+    with pytest.raises(ValueError, match=re.escape("noise shape (1, 2) does not match state shape (4, 2)")):
         linear_schedule.forward_diffuse(np.zeros((4, 2)), 10, np.zeros((1, 2)))
 
 
