@@ -23,7 +23,7 @@ def schedule_fingerprint(schedule: NoiseSchedule) -> bytes:
     return schedule.betas.tobytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImportanceCurve:
     """Normalized inverse log-SNR slope per timestep, in ``[0, 1]`` with max exactly 1."""
 
@@ -31,7 +31,7 @@ class ImportanceCurve:
     source_schedule_id: bytes = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size < 3:
             raise ValueError("importance values must be a 1-D array of length >= 3")
         if np.any(values < 0.0) or np.any(values > 1.0):

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .mixture import MixtureModel
+from .mixture import MixtureModel, _finite
 from .seeding import STREAM_PROJECTIONS, stream
 
 __all__ = [
@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 _BLOCK_VALUES = 1 << 16  # projected values per sample set in one block of sliced-W1 directions: 512 KB
-
-
-def _finite(x, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} needs finite entries")
-    return x
 
 
 def mixture_moments(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:

@@ -35,27 +35,25 @@ __all__ = ["MixtureModel", "MIXTURE_PRESETS", "mixture_preset", "mixture_from_co
 _FLOAT_MIN = np.finfo(np.float64).min
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Isotropic Gaussian mixture over ``dim`` ambient dimensions."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # component() by label
+    _components: dict = field(default_factory=dict, init=False, repr=False)  # component() by label
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        variances = np.asarray(self.variances, dtype=np.float64)
+        weights, means, variances = (np.array(_finite(getattr(self, name), f"the {name} array"))
+                                     for name in ("weights", "means", "variances"))
+        means = np.atleast_2d(means)
         if weights.ndim != 1 or variances.ndim != 1 or means.ndim != 2:
             raise ValueError("weights and variances must be 1-D, means 2-D (components, dim)")
         if means.shape[1] < 1:
             raise ValueError("means must have at least one dimension")
         if not weights.size == variances.size == means.shape[0]:
             raise ValueError("weights, means and variances must have one entry per component")
-        if not all(np.isfinite(arr).all() for arr in (weights, means, variances)):
-            raise ValueError("weights, means and variances must be finite")
         if np.any(weights <= 0.0) or np.any(weights > 1.0):
             raise ValueError("weights must lie in (0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -145,10 +143,15 @@ class MixtureModel:
         return self.means[labels] + np.sqrt(self.variances[labels])[:, None] * noise
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, int | slice]:
+def _finite(x, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise ValueError("the mixture oracle requires finite input")
+        raise ValueError(f"{what} needs finite entries")
+    return x
+
+
+def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, int | slice]:
+    x = _finite(x, "the mixture oracle's input")
     if x.ndim == 1:
         if x.shape[0] != dim:
             raise ValueError(f"expected vectors of dimension {dim}, got shape {x.shape}")

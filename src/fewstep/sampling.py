@@ -67,7 +67,7 @@ class SamplerConfig:
             raise ValueError(f"clip_timing must be one of {CLIP_TIMING}, got {self.clip_timing!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleTrajectory:
     """States visited while sampling plus the terminal clean-state estimate.
 

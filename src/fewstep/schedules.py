@@ -13,20 +13,20 @@ __all__ = ["SCHEDULE_KINDS", "NoiseSchedule", "build_schedule"]
 SCHEDULE_KINDS = ("linear", "scaled_linear", "cosine")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Forward-diffusion schedule over integer timesteps ``0 .. num_steps - 1``.
 
     ``betas`` holds per-step variance increments. ``alpha_bars`` is derived
     from them, the cumulative signal retention ``prod(1 - betas[: t + 1])``,
-    so a schedule's betas fix all of it. Both arrays are immutable.
+    so a schedule's betas fix all of it. It owns both arrays, and both are immutable.
     """
 
     betas: np.ndarray
     alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64)
+        betas = np.array(self.betas, dtype=np.float64)
         if betas.ndim != 1:
             raise ValueError("betas must be a 1-D array")
         if betas.size < 2:

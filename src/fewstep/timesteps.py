@@ -21,9 +21,9 @@ EQUIDISTANT = "equidistant"
 IMPORTANCE = "importance"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimestepSchedule:
-    """Strictly decreasing inference timesteps with per-slot selection provenance.
+    """Strictly decreasing integer inference timesteps with per-slot selection provenance.
 
     ``provenance[i]`` records whether slot ``i`` came from the equidistant grid
     or from an importance argmax. Schedules that involved importance selection
@@ -35,9 +35,12 @@ class TimestepSchedule:
     curve: ImportanceCurve | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=np.int64)
+        steps = np.asarray(self.steps)
         if steps.ndim != 1 or steps.size < 2:
             raise ValueError("steps must be a 1-D array with at least 2 entries")
+        if steps.dtype == bool or not np.can_cast(steps.dtype, np.int64):  # no float is truncated, no string parsed
+            raise ValueError(f"steps must be integers, got dtype {steps.dtype}")
+        steps = steps.astype(np.int64)  # a copy, so the caller's array stays the caller's
         if np.any(np.diff(steps) >= 0):
             raise ValueError("steps must be strictly decreasing")
         if steps[-1] < 0:

@@ -1135,7 +1135,7 @@ class TestSetUpCache:
     def test_the_shared_arrays_are_read_only(self, sampled):
         run_experiment(ExperimentConfig(steps=4, batch=8))
         ((schedule, curve, timesteps),) = sampled
-        for array in (schedule.alpha_bars, curve.values, timesteps.steps):
+        for array in (schedule.betas, schedule.alpha_bars, curve.values, timesteps.steps):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[1]
 

@@ -85,6 +85,16 @@ def test_curve_constructor_rejects_bad_values(values, message):
         ImportanceCurve(values=values, source_schedule_id="0" * 16)
 
 
+@pytest.mark.parametrize("view", [True, False], ids=["view-of-a-writeable-base", "owned-array"])
+def test_the_curve_keeps_its_own_copy_of_its_values(view):
+    base = np.array([0.25, 1.0, 0.5])
+    given = base[:] if view else base
+    curve = ImportanceCurve(values=given, source_schedule_id=b"")
+    assert given.flags.writeable
+    base[:] = 0.0
+    assert curve.values.tolist() == [0.25, 1.0, 0.5]
+
+
 def test_fingerprint_pairs_curve_with_schedule(linear_schedule, default_curve):
     assert default_curve.source_schedule_id == schedule_fingerprint(linear_schedule)
     # The curve depends only on the betas, so equal betas give equal fingerprints.

@@ -112,6 +112,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             bimodal.means[0, 0] = 0.0
 
+    @pytest.mark.parametrize("view", [True, False], ids=["view-of-a-writeable-base", "owned-array"])
+    def test_the_model_keeps_its_own_copy_of_its_arrays(self, view):
+        bases = {"weights": np.array([0.5, 0.5]), "means": np.array([[-1.0], [1.0]]), "variances": np.array([0.1, 0.2])}
+        given = {name: base[:] if view else base for name, base in bases.items()}
+        model = MixtureModel(**given)
+        assert all(array.flags.writeable for array in given.values())
+        bases["weights"][:] = [2.0, -1.0]
+        bases["means"][:] = 5.0
+        bases["variances"][:] = -1.0
+        assert (model.weights.tolist(), model.means.tolist(), model.variances.tolist()) == (
+            [0.5, 0.5], [[-1.0], [1.0]], [0.1, 0.2])
+
 
 class TestDiffusion:
     def test_diffused_arithmetic(self):

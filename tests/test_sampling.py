@@ -491,6 +491,21 @@ class TestVariantDegeneration:
         assert not np.array_equal(plain.final, gamma.final)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_schedule(),
+    lambda: ImportanceCurve(values=[0.5, 1.0, 0.5], source_schedule_id=b""),
+    lambda: TimestepSchedule(steps=[9, 5, 0], provenance=(EQUIDISTANT,) * 3),
+    lambda: MixtureModel(weights=[0.5, 0.5], means=[[-1.0], [1.0]], variances=[0.1, 0.1]),
+    lambda: sampling.SampleTrajectory(states=[(9, np.zeros((2, 1)))], final=np.zeros((2, 1))),
+], ids=["NoiseSchedule", "ImportanceCurve", "TimestepSchedule", "MixtureModel", "SampleTrajectory"])
+def test_objects_that_hold_arrays_compare_by_identity(make):
+    # A field-wise == of arrays has no single truth value, so these objects are equal only to themselves.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert len({a, b, a}) == 2
+
+
 class TestTrajectory:
     def test_plain_records_one_state_per_anchor(self, linear_schedule, tight_gaussian):
         ts = equidistant_schedule(linear_schedule, 4)

@@ -148,6 +148,19 @@ def test_arrays_are_immutable(linear_schedule):
         linear_schedule.betas[0] = 0.5
 
 
+@pytest.mark.parametrize("view", [True, False], ids=["view-of-a-writeable-base", "owned-array"])
+def test_the_schedule_keeps_its_own_copy_of_the_betas(view):
+    # A schedule that froze the caller's array would make it read-only, or follow its later writes with its
+    # betas while its alpha-bars kept the old values.
+    base = np.linspace(1e-4, 0.02, 1000)
+    given = base[:] if view else base
+    schedule = NoiseSchedule(betas=given)
+    betas, alpha_bars = schedule.betas.copy(), schedule.alpha_bars.copy()
+    assert given.flags.writeable
+    base[:] = 0.5
+    assert schedule.betas.tobytes() == betas.tobytes() and schedule.alpha_bars.tobytes() == alpha_bars.tobytes()
+
+
 def test_direct_construction_validates_consistency():
     # 1 - 1e-17 rounds to 1, so the second alpha-bar ties the first...
     with pytest.raises(ValueError, match="decreasing"):

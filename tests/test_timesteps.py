@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,27 @@ class TestValidation:
             TimestepSchedule(steps=[5, 2, 0], provenance=(EQUIDISTANT,))
         with pytest.raises(ValueError, match="provenance"):
             TimestepSchedule(steps=[5, 2, 0], provenance=("eq", "eq", "eq"))
+
+    @pytest.mark.parametrize("steps, dtype", [
+        ([999.9, 500.5, 0.7], "float64"),
+        ([1e30, 5], "float64"),
+        (["9", "3", "0"], "<U1"),
+        ([True, False], "bool"),
+        ([2**70, 5], "object"),
+    ], ids=["fractional", "float-beyond-int64", "strings", "booleans", "int-beyond-int64"])
+    def test_rejects_steps_that_are_not_integers(self, steps, dtype):
+        # Casting them would truncate a float, parse a string, count a bool as 1 or overflow.
+        with pytest.raises(ValueError, match=re.escape(f"steps must be integers, got dtype {dtype}")):
+            TimestepSchedule(steps=steps, provenance=(EQUIDISTANT,) * len(steps))
+
+    @pytest.mark.parametrize("view", [True, False], ids=["view-of-a-writeable-base", "owned-array"])
+    def test_the_schedule_keeps_its_own_copy_of_the_steps(self, view):
+        base = np.array([9, 5, 0])
+        given = base[:] if view else base
+        ts = TimestepSchedule(steps=given, provenance=(EQUIDISTANT,) * 3)
+        assert given.flags.writeable
+        base[:] = [0, 5, 9]
+        assert ts.steps.tolist() == [9, 5, 0]
 
     def test_steps_are_immutable(self, linear_schedule):
         ts = equidistant_schedule(linear_schedule, 4)
