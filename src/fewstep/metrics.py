@@ -37,8 +37,8 @@ def mixture_moments(model: MixtureModel) -> tuple[np.ndarray, np.ndarray]:
 def moments_error(samples: np.ndarray, model: MixtureModel) -> tuple[float, float]:
     """L2 mean and Frobenius covariance errors against the mixture's moments; the covariance is np.cov's (bias=True)."""
     samples = _finite(samples, "moment error")
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (batch, dim) array, got shape {samples.shape}")
+    if samples.ndim != 2 or samples.shape[0] == 0 or samples.shape[1] != model.dim:
+        raise ValueError(f"expected a non-empty (batch, {model.dim}) array, got shape {samples.shape}")
     true_mean, true_cov = mixture_moments(model)
     mean = samples.mean(axis=0)
     centred = (samples - mean).T
@@ -57,8 +57,10 @@ def _sorted_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact empirical 1-D Wasserstein-1 distance between two equal-size sample sets."""
-    a, b = (_finite(x, "Wasserstein distance").flatten() for x in (a, b))  # copies: sorted in place
+    """Exact empirical 1-D Wasserstein-1 distance between two equal-size 1-D sample sets."""
+    a, b = (_finite(x, "Wasserstein distance").copy() for x in (a, b))  # copies: sorted in place
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"expected two 1-D sample sets, got shapes {a.shape} and {b.shape}; see sliced_wasserstein")
     return float(_sorted_gap(a, b))
 
 

@@ -176,8 +176,8 @@ def run_sampler(
             depend on its batch; the gamma variants' re-noise is one stream,
             drawn block by block in row order: the bytes of one whole-batch draw.
         chains: how many leading chains each visited state keeps, as its own
-            copy, so the full batch of a passed step can be freed; ``None``
-            keeps every chain.
+            copy, so the trajectory need not hold a full batch per visited
+            state; ``None`` keeps every chain.
 
     Returns:
         The visited states, each ``(chains, dim)`` or shaped like ``initial``,
@@ -189,8 +189,9 @@ def run_sampler(
     if np.shape(initial)[1] < 1:
         raise ValueError(f"initial state must have at least one column, got shape {np.shape(initial)}")
     # The loop runs on batch-contiguous (column-major) states, so a per-column or per-row broadcast is one long
-    # inner loop, not one of length dim per row. Dropping ``initial`` frees a draw the caller passed straight in.
-    x = np.asfortranarray(initial, dtype=np.float64)
+    # inner loop, not one of length dim per row. The loop writes into this state, so it is always the sampler's own
+    # copy. Dropping ``initial`` frees a draw the caller passed straight in.
+    x = np.array(initial, dtype=np.float64, order="F")
     del initial
     if not np.isfinite(x).all():
         raise NumericalError("initial state contains non-finite entries")
@@ -210,25 +211,21 @@ def run_sampler(
     batch, dim = x.shape
     keep = min(chains or batch, batch)
     rows = max(1, _BLOCK_VALUES // dim)  # per contiguous row block, at least one; a batch that fits is one block
+    blocks = [slice(a, a + rows) for a in range(0, batch, rows)]
 
-    # Each state is its own copy of the kept rows, so none aliases ``initial`` or pins a full batch.
-    states = [(int(steps[0]), x[:chains].copy())]
+    # Each state is a copy of the kept rows, since the loop overwrites ``x`` block by block. Each step operation
+    # allocates its result, so a block is written back only once its new value is whole.
+    states = [(int(steps[0]), x[:keep].copy())]
     for i in range(1, timesteps.n):
         t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
         mid = _intermediate_target(config, timesteps, i)
-        out, kept = np.empty((batch, dim), order="F"), None if mid == t_anchor else np.empty((keep, dim))
-        for a in range(0, batch, rows):
-            y = denoise_step(eps_model, schedule, x[a:a + rows], t_prev, mid, step_clip)
-            if kept is not None:  # the block's re-noise, drawn in row order: the bytes of one whole-batch draw
-                kept[a:a + rows] = y[:max(keep - a, 0)]
-                y = noisify(schedule, y, mid, t_anchor, rng.standard_normal(y.shape))
-            out[a:a + rows] = y
-            del y  # so the next block's step does not run beside this one's result
-        x = out
-        if kept is not None:
-            states.append((mid, kept))
-        states.append((t_anchor, x[:chains].copy()))
-    final = np.empty((batch, dim))
-    for a in range(0, batch, rows):
-        final[a:a + rows] = denoise_step(eps_model, schedule, x[a:a + rows], int(steps[-1]), None, config.clip)
-    return SampleTrajectory(states=states, final=final)
+        for b in blocks:
+            x[b] = denoise_step(eps_model, schedule, x[b], t_prev, mid, step_clip)
+        if mid != t_anchor:  # each block's re-noise, drawn in row order: the bytes of one whole-batch draw
+            states.append((mid, x[:keep].copy()))
+            for b in blocks:
+                x[b] = noisify(schedule, x[b], mid, t_anchor, rng.standard_normal(x[b].shape))
+        states.append((t_anchor, x[:keep].copy()))
+    for b in blocks:
+        x[b] = denoise_step(eps_model, schedule, x[b], int(steps[-1]), None, config.clip)
+    return SampleTrajectory(states=states, final=np.ascontiguousarray(x))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,13 @@ class TestMoments:
         with pytest.raises(ValueError, match="batch"):
             moments_error(np.zeros(5), model)
 
+    @pytest.mark.parametrize("preset, dim", [("grid-2d", 1), ("bimodal-1d", 2), ("grid-2d", 3)])
+    def test_rejects_samples_of_another_dimension(self, preset, dim):
+        # One column against a 2-D mixture, or two against a 1-D one, would broadcast into a wrong error.
+        model = mixture_preset(preset)
+        with pytest.raises(ValueError, match=rf"\(batch, {model.dim}\) array, got shape \(6, {dim}\)"):
+            moments_error(np.zeros((6, dim)), model)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         samples = np.zeros((3, 2))
@@ -139,6 +147,17 @@ class TestWasserstein1D:
             wasserstein_1d([0.0], [0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="equal size"):
             wasserstein_1d(np.zeros(5), np.zeros(4))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros((4, 2)), np.ones((4, 2))),
+        (np.zeros((4, 2)), np.ones((8, 1))),
+        (np.zeros((4, 1)), np.ones(4)),
+        (np.zeros(4), np.ones((4, 1))),
+    ])
+    def test_rejects_sets_that_are_not_1d(self, a, b):
+        # Flattening would pool a batch's coordinates, and compare sets of different shapes.
+        with pytest.raises(ValueError, match=re.escape(f"1-D sample sets, got shapes {a.shape} and {b.shape}")):
+            wasserstein_1d(a, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

@@ -315,8 +315,8 @@ def test_step_operations_leave_their_inputs_alone(linear_schedule, order):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("variant", SAMPLER_VARIANTS)
 def test_run_sampler_leaves_its_initial_alone(linear_schedule, default_curve, monkeypatch, variant, order, writeable):
-    # np.asfortranarray hands an F-ordered float64 initial back as the same array, so the loop must never write
-    # into its state: a read-only initial would raise, a writeable one would change under the caller.
+    # The loop writes each block back into its state, so that state must be the sampler's own copy, whatever the
+    # initial's layout: a read-only initial would raise, a writeable one would change under the caller.
     monkeypatch.setattr(sampling, "_BLOCK_VALUES", 100)
     initial = np.array(np.random.default_rng(4).standard_normal((120, 3)), order=order)
     initial.flags.writeable = writeable
