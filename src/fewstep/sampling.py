@@ -5,7 +5,8 @@ to anchor. ``gamma`` denoises past each anchor to ``round((1 - gamma) * t)``
 and re-noises back up, trading determinism for fresh noise. ``gamma_i`` does
 the same except that transitions into importance-selected anchors denoise to
 ``round(I_t * t)`` instead, reading ``I`` from the curve bound to the
-schedule. The final transition always lands on the data axis without
+schedule. :func:`step_plan` lists these transitions and :func:`run_sampler`
+walks it. The final transition always lands on the data axis without
 re-noising, so the terminal output is a clean-state estimate.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "denoise_step",
     "noisify",
     "run_sampler",
+    "step_plan",
 ]
 
 SAMPLER_VARIANTS = ("plain", "gamma", "gamma_i")
@@ -138,17 +140,16 @@ def noisify(
     return _forward(x, ratio, noise)
 
 
-def _intermediate_target(
-    config: SamplerConfig, timesteps: TimestepSchedule, slot: int
-) -> int:
-    t_anchor = int(timesteps.steps[slot])
-    if config.variant == "plain":
-        return t_anchor
-    if config.variant == "gamma_i" and timesteps.provenance[slot] == IMPORTANCE:
-        factor = timesteps.curve.values[t_anchor]
-    else:
-        factor = 1.0 - config.gamma
-    return int(np.rint(factor * t_anchor))
+def step_plan(config: SamplerConfig, timesteps: TimestepSchedule) -> List[Tuple[int, int, int]]:
+    """The walk, one ``(t_from, mid, t_to)`` per transition: ``mid = round(f * t_to)``, ``f`` is 1 for ``plain``,
+    ``I_{t_to}`` on a ``gamma_i`` importance slot, else ``1 - gamma``; a ``mid`` below ``t_to`` is re-noised to it."""
+    steps, curve = timesteps.steps.tolist(), timesteps.curve
+    reads_curve = config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance
+    if reads_curve and curve is None:
+        raise ValueError("gamma_i needs the importance curve bound to the timestep schedule")
+    factors = [1.0 if config.variant == "plain" else (curve.values[t] if reads_curve and kind == IMPORTANCE
+               else 1.0 - config.gamma) for t, kind in zip(steps[1:], timesteps.provenance[1:])]
+    return [(t_from, int(np.rint(f * t)), t) for t_from, t, f in zip(steps, steps[1:], factors)]
 
 
 def run_sampler(
@@ -159,7 +160,7 @@ def run_sampler(
     initial: np.ndarray,
     chains: Optional[int] = None,
 ) -> SampleTrajectory:
-    """Run one batch of chains along a timestep schedule.
+    """Run one batch of chains along a timestep schedule, walking its :func:`step_plan`.
 
     Args:
         config: sampler variant and options.
@@ -198,13 +199,12 @@ def run_sampler(
     if chains is not None and chains < 1:
         raise ValueError(f"chains must be at least 1, got {chains}")
 
-    steps = timesteps.steps
-    if config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance:
-        if timesteps.curve is None:
-            raise ValueError("gamma_i needs the importance curve bound to the timestep schedule")
-        if timesteps.curve.source_schedule_id != schedule_fingerprint(schedule):
+    steps, curve = timesteps.steps, timesteps.curve
+    if config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance and curve is not None:
+        if curve.source_schedule_id != schedule_fingerprint(schedule):
             raise ValueError("timestep schedule's importance curve belongs to a different noise schedule")
     schedule.alpha_bar_at(steps[0])  # TimestepSchedule keeps every later step below it and non-negative
+    plan = step_plan(config, timesteps)  # past the first-step check, as the plan indexes the curve at each anchor
 
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
@@ -216,9 +216,7 @@ def run_sampler(
     # Each state is a copy of the kept rows, since the loop overwrites ``x`` block by block. Each step operation
     # allocates its result, so a block is written back only once its new value is whole.
     states = [(int(steps[0]), x[:keep].copy())]
-    for i in range(1, timesteps.n):
-        t_prev, t_anchor = int(steps[i - 1]), int(steps[i])
-        mid = _intermediate_target(config, timesteps, i)
+    for t_prev, mid, t_anchor in plan:
         for b in blocks:
             x[b] = denoise_step(eps_model, schedule, x[b], t_prev, mid, step_clip)
         if mid != t_anchor:  # each block's re-noise, drawn in row order: the bytes of one whole-batch draw

@@ -17,6 +17,7 @@ from fewstep.sampling import (
     denoise_step,
     noisify,
     run_sampler,
+    step_plan,
 )
 from fewstep.schedules import build_schedule
 from fewstep.seeding import STREAM_RENOISE, stream
@@ -615,6 +616,57 @@ class TestTrajectory:
             assert got.shape == (5, 2) and got.tobytes() == want[:5].tobytes()
             assert got.base is None  # no view pins the full batch
         assert kept.final.tobytes() == whole.final.tobytes()
+
+
+class TestStepPlan:
+    """``step_plan`` is the sampler's walk, one ``(t_from, mid, t_to)`` per transition, computed without a model."""
+
+    @pytest.fixture
+    def adaptive8(self, linear_schedule, default_curve):
+        ts = adaptive_schedule(linear_schedule, default_curve, 8, theta=0.7)
+        assert {EQUIDISTANT, IMPORTANCE} <= set(ts.provenance[1:])  # both kinds of transition are covered
+        return ts
+
+    def test_plain_steps_from_anchor_to_anchor(self, linear_schedule, adaptive8):
+        assert step_plan(SamplerConfig(variant="plain"), equidistant_schedule(linear_schedule, 4)) == [
+            (999, 666, 666), (666, 333, 333), (333, 0, 0)
+        ]
+        steps = adaptive8.steps.tolist()
+        assert step_plan(SamplerConfig(variant="plain"), adaptive8) == [(a, b, b) for a, b in zip(steps, steps[1:])]
+
+    def test_zero_gamma_is_the_plain_plan(self, linear_schedule, adaptive8):
+        # Criterion 2's degeneration, at the level of the walk.
+        plain, gamma = SamplerConfig(variant="plain"), SamplerConfig(variant="gamma", gamma=0.0)
+        for ts in (equidistant_schedule(linear_schedule, 6), adaptive8):
+            assert step_plan(gamma, ts) == step_plan(plain, ts)
+
+    def test_gamma_i_targets_importance_and_equidistant_slots(self, adaptive8, default_curve):
+        plan = step_plan(SamplerConfig(variant="gamma_i", gamma=0.2), adaptive8)
+        steps = adaptive8.steps.tolist()
+        assert [(a, b) for a, _, b in plan] == list(zip(steps, steps[1:]))
+        for (_, mid, t), kind in zip(plan, adaptive8.provenance[1:]):
+            factor = default_curve.values[t] if kind == IMPORTANCE else 1.0 - 0.2
+            assert type(mid) is int and mid == round(float(factor) * t)
+
+    def test_gamma_i_over_importance_slots_needs_the_curve(self):
+        bare = TimestepSchedule(steps=[999, 500, 0], provenance=(EQUIDISTANT, IMPORTANCE, EQUIDISTANT))
+        with pytest.raises(ValueError, match="^gamma_i needs the importance curve bound to the timestep schedule$"):
+            step_plan(SamplerConfig(variant="gamma_i"), bare)
+        assert step_plan(SamplerConfig(variant="gamma"), bare) == [(999, 400, 500), (500, 0, 0)]
+
+    @pytest.mark.parametrize("variant", SAMPLER_VARIANTS)
+    def test_run_sampler_visits_the_plan(self, linear_schedule, adaptive8, variant):
+        # The plan is the sampler's contract: a state at each mid the walk re-noises from, and one at each anchor.
+        config = SamplerConfig(variant=variant, gamma=0.2)
+        expected = [int(adaptive8.steps[0])]
+        for _, mid, t_to in step_plan(config, adaptive8):
+            expected += [mid, t_to] if mid != t_to else [t_to]
+        model = MixtureModel(weights=[1.0], means=[[0.0]], variances=[1.0])
+        out = run_sampler(config, linear_schedule, adaptive8, make_eps_model(model, linear_schedule),
+                          np.random.default_rng(1).standard_normal((2, 1)))
+        assert [t for t, _ in out.states] == expected
+        if variant != "plain":
+            assert len(expected) > adaptive8.n  # the gamma variants re-noise somewhere on this schedule
 
 
 class TestConvergence:
