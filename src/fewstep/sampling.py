@@ -5,9 +5,9 @@ to anchor. ``gamma`` denoises past each anchor to ``round((1 - gamma) * t)``
 and re-noises back up, trading determinism for fresh noise. ``gamma_i`` does
 the same except that transitions into importance-selected anchors denoise to
 ``round(I_t * t)`` instead, reading ``I`` from the curve bound to the
-schedule. :func:`step_plan` lists these transitions and :func:`run_sampler`
-walks it. The final transition always lands on the data axis without
-re-noising, so the terminal output is a clean-state estimate.
+schedule. :func:`step_plan` lists these transitions, checked against the
+noise schedule, and :func:`run_sampler` walks that plan alone. The final
+transition lands on the data axis without re-noising: a clean-state estimate.
 """
 
 from __future__ import annotations
@@ -140,11 +140,17 @@ def noisify(
     return _forward(x, ratio, noise)
 
 
-def step_plan(config: SamplerConfig, timesteps: TimestepSchedule) -> List[Tuple[int, int, int]]:
+def step_plan(
+    config: SamplerConfig, schedule: NoiseSchedule, timesteps: TimestepSchedule
+) -> List[Tuple[int, int, int]]:
     """The walk, one ``(t_from, mid, t_to)`` per transition: ``mid = round(f * t_to)``, ``f`` is 1 for ``plain``,
-    ``I_{t_to}`` on a ``gamma_i`` importance slot, else ``1 - gamma``; a ``mid`` below ``t_to`` is re-noised to it."""
+    ``I_{t_to}`` on a ``gamma_i`` importance slot, else ``1 - gamma``; a ``mid`` below ``t_to`` is re-noised to it.
+    Checks in order: a curve the walk reads belongs to ``schedule``, the first step lies in it, that curve is bound."""
     steps, curve = timesteps.steps.tolist(), timesteps.curve
-    reads_curve = config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance
+    reads_curve = config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance[1:]  # slot 0 is never a target
+    if reads_curve and curve is not None and curve.source_schedule_id != schedule_fingerprint(schedule):
+        raise ValueError("timestep schedule's importance curve belongs to a different noise schedule")
+    schedule.alpha_bar_at(steps[0])  # TimestepSchedule keeps every later step below it and non-negative
     if reads_curve and curve is None:
         raise ValueError("gamma_i needs the importance curve bound to the timestep schedule")
     factors = [1.0 if config.variant == "plain" else (curve.values[t] if reads_curve and kind == IMPORTANCE
@@ -165,8 +171,8 @@ def run_sampler(
     Args:
         config: sampler variant and options.
         schedule: noise schedule shared by the model and the timesteps.
-        timesteps: anchor timesteps, highest first. The gamma_i variant needs
-            importance-provenance slots to carry the curve they came from.
+        timesteps: anchor timesteps, highest first, read only by
+            :func:`step_plan`, which makes every check of the walk.
         eps_model: callable ``(state, t) -> noise prediction``, vectorized over
             rows and acting on each row alone; guidance, if any, is already
             composed into it. It and the clip receive column-major states: the
@@ -199,31 +205,25 @@ def run_sampler(
     if chains is not None and chains < 1:
         raise ValueError(f"chains must be at least 1, got {chains}")
 
-    steps, curve = timesteps.steps, timesteps.curve
-    if config.variant == "gamma_i" and IMPORTANCE in timesteps.provenance and curve is not None:
-        if curve.source_schedule_id != schedule_fingerprint(schedule):
-            raise ValueError("timestep schedule's importance curve belongs to a different noise schedule")
-    schedule.alpha_bar_at(steps[0])  # TimestepSchedule keeps every later step below it and non-negative
-    plan = step_plan(config, timesteps)  # past the first-step check, as the plan indexes the curve at each anchor
+    plan = step_plan(config, schedule, timesteps)
 
     step_clip = config.clip if config.clip_timing == "every-step" else None
     rng = stream(config.rng_seed, STREAM_RENOISE)
     batch, dim = x.shape
-    keep = min(chains or batch, batch)
     rows = max(1, _BLOCK_VALUES // dim)  # per contiguous row block, at least one; a batch that fits is one block
     blocks = [slice(a, a + rows) for a in range(0, batch, rows)]
 
     # Each state is a copy of the kept rows, since the loop overwrites ``x`` block by block. Each step operation
     # allocates its result, so a block is written back only once its new value is whole.
-    states = [(int(steps[0]), x[:keep].copy())]
+    states = [(plan[0][0], x[:chains].copy())]
     for t_prev, mid, t_anchor in plan:
         for b in blocks:
             x[b] = denoise_step(eps_model, schedule, x[b], t_prev, mid, step_clip)
         if mid != t_anchor:  # each block's re-noise, drawn in row order: the bytes of one whole-batch draw
-            states.append((mid, x[:keep].copy()))
+            states.append((mid, x[:chains].copy()))
             for b in blocks:
                 x[b] = noisify(schedule, x[b], mid, t_anchor, rng.standard_normal(x[b].shape))
-        states.append((t_anchor, x[:keep].copy()))
+        states.append((t_anchor, x[:chains].copy()))
     for b in blocks:
-        x[b] = denoise_step(eps_model, schedule, x[b], int(steps[-1]), None, config.clip)
+        x[b] = denoise_step(eps_model, schedule, x[b], plan[-1][2], None, config.clip)
     return SampleTrajectory(states=states, final=np.ascontiguousarray(x))

@@ -53,20 +53,6 @@ class TimestepSchedule:
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
-    @property
-    def n(self) -> int:
-        return int(self.steps.size)
-
-
-def _equidistant_steps(num_train_steps: int, n: int) -> np.ndarray:
-    # Uniform real positions over [0, T - 1], highest first, rounded to nearest.
-    return np.rint(np.linspace(num_train_steps - 1, 0, n)).astype(np.int64)
-
-
-def _check_n(n: int, num_train_steps: int) -> None:
-    if not 2 <= n <= num_train_steps:
-        raise ValueError(f"step count {n} outside [2, {num_train_steps}]")
-
 
 def _interval_argmax(curve: ImportanceCurve, n: int) -> np.ndarray:
     # Slot i draws from the (n - 1 - i)-th of n contiguous intervals over
@@ -82,9 +68,10 @@ def _interval_argmax(curve: ImportanceCurve, n: int) -> np.ndarray:
 
 
 def equidistant_schedule(schedule: NoiseSchedule, n: int) -> TimestepSchedule:
-    """Uniformly spaced timesteps anchored at the highest trained step."""
-    _check_n(n, schedule.num_steps)
-    steps = _equidistant_steps(schedule.num_steps, n)
+    """``2 <= n <= T`` uniformly spaced real positions over ``[0, T - 1]``, highest first, rounded to nearest."""
+    if not 2 <= n <= schedule.num_steps:
+        raise ValueError(f"step count {n} outside [2, {schedule.num_steps}]")
+    steps = np.rint(np.linspace(schedule.num_steps - 1, 0, n)).astype(np.int64)
     return TimestepSchedule(steps=steps, provenance=(EQUIDISTANT,) * n)
 
 
@@ -111,9 +98,7 @@ def adaptive_schedule(
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if curve.source_schedule_id != schedule_fingerprint(schedule):
         raise ValueError("importance curve was computed from a different schedule")
-    _check_n(n, schedule.num_steps)
-
-    equidistant = _equidistant_steps(schedule.num_steps, n)
+    equidistant = equidistant_schedule(schedule, n).steps  # checks n
     candidates = _interval_argmax(curve, n)
     chosen = curve.values[candidates] > theta
     steps = np.where(chosen, candidates, equidistant)

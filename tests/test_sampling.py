@@ -6,7 +6,7 @@ import pytest
 
 from fewstep import sampling
 from fewstep.guidance import guide_interpolate, guide_negative
-from fewstep.importance import ImportanceCurve, schedule_fingerprint
+from fewstep.importance import ImportanceCurve, compute_importance, schedule_fingerprint
 from fewstep.mixture import MixtureModel, mixture_preset
 from fewstep.postprocess import batch_clip
 from fewstep.sampling import (
@@ -185,7 +185,7 @@ class TestLoopIsTheDocumentedSteps:
         step_clip = config.clip if config.clip_timing == "every-step" else None
         steps = [int(t) for t in timesteps.steps]
         x, visits = initial, [(steps[0], initial)]
-        for slot in range(1, timesteps.n):
+        for slot in range(1, timesteps.steps.size):
             anchor = steps[slot]
             if config.variant == "plain":
                 target = anchor
@@ -539,7 +539,7 @@ class TestTrajectory:
             np.random.default_rng(1).standard_normal((2, 1)),
         )
         expected = [999]
-        for slot in range(1, ts.n):
+        for slot in range(1, ts.steps.size):
             anchor = int(ts.steps[slot])
             factor = (
                 default_curve.values[anchor]
@@ -628,45 +628,62 @@ class TestStepPlan:
         return ts
 
     def test_plain_steps_from_anchor_to_anchor(self, linear_schedule, adaptive8):
-        assert step_plan(SamplerConfig(variant="plain"), equidistant_schedule(linear_schedule, 4)) == [
+        assert step_plan(SamplerConfig(variant="plain"), linear_schedule, equidistant_schedule(linear_schedule, 4)) == [
             (999, 666, 666), (666, 333, 333), (333, 0, 0)
         ]
         steps = adaptive8.steps.tolist()
-        assert step_plan(SamplerConfig(variant="plain"), adaptive8) == [(a, b, b) for a, b in zip(steps, steps[1:])]
+        assert step_plan(SamplerConfig(variant="plain"), linear_schedule, adaptive8) == [
+            (a, b, b) for a, b in zip(steps, steps[1:])
+        ]
 
     def test_zero_gamma_is_the_plain_plan(self, linear_schedule, adaptive8):
         # Criterion 2's degeneration, at the level of the walk.
         plain, gamma = SamplerConfig(variant="plain"), SamplerConfig(variant="gamma", gamma=0.0)
         for ts in (equidistant_schedule(linear_schedule, 6), adaptive8):
-            assert step_plan(gamma, ts) == step_plan(plain, ts)
+            assert step_plan(gamma, linear_schedule, ts) == step_plan(plain, linear_schedule, ts)
 
-    def test_gamma_i_targets_importance_and_equidistant_slots(self, adaptive8, default_curve):
-        plan = step_plan(SamplerConfig(variant="gamma_i", gamma=0.2), adaptive8)
+    def test_gamma_i_targets_importance_and_equidistant_slots(self, linear_schedule, adaptive8, default_curve):
+        plan = step_plan(SamplerConfig(variant="gamma_i", gamma=0.2), linear_schedule, adaptive8)
         steps = adaptive8.steps.tolist()
         assert [(a, b) for a, _, b in plan] == list(zip(steps, steps[1:]))
         for (_, mid, t), kind in zip(plan, adaptive8.provenance[1:]):
             factor = default_curve.values[t] if kind == IMPORTANCE else 1.0 - 0.2
             assert type(mid) is int and mid == round(float(factor) * t)
 
-    def test_gamma_i_over_importance_slots_needs_the_curve(self):
+    def test_gamma_i_over_importance_slots_needs_the_curve(self, linear_schedule):
         bare = TimestepSchedule(steps=[999, 500, 0], provenance=(EQUIDISTANT, IMPORTANCE, EQUIDISTANT))
         with pytest.raises(ValueError, match="^gamma_i needs the importance curve bound to the timestep schedule$"):
-            step_plan(SamplerConfig(variant="gamma_i"), bare)
-        assert step_plan(SamplerConfig(variant="gamma"), bare) == [(999, 400, 500), (500, 0, 0)]
+            step_plan(SamplerConfig(variant="gamma_i"), linear_schedule, bare)
+        assert step_plan(SamplerConfig(variant="gamma"), linear_schedule, bare) == [(999, 400, 500), (500, 0, 0)]
+
+    @pytest.mark.parametrize("first, curve, error, message", [
+        (999, "short", ValueError, "timestep schedule's importance curve belongs to a different noise schedule"),
+        (1000, "bound", IndexError, "timestep 1000 outside [0, 999]"),
+        (1000, "short", ValueError, "timestep schedule's importance curve belongs to a different noise schedule"),
+        (1000, None, IndexError, "timestep 1000 outside [0, 999]"),
+    ], ids=["foreign-curve", "first-step", "foreign-curve-before-first-step", "first-step-before-missing-curve"])
+    def test_checks_the_walk_against_its_noise_schedule(self, linear_schedule, default_curve, first, curve, error,
+                                                        message):
+        # Called alone, the plan makes every check of the walk, in order: a foreign curve (a 100-step curve is never
+        # indexed), then a first step outside the schedule, then a missing curve.
+        curve = {"short": compute_importance(build_schedule("linear", 100)), "bound": default_curve}.get(curve)
+        ts = TimestepSchedule(steps=[first, 500, 0], provenance=(EQUIDISTANT, IMPORTANCE, EQUIDISTANT), curve=curve)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            step_plan(SamplerConfig(variant="gamma_i"), linear_schedule, ts)
 
     @pytest.mark.parametrize("variant", SAMPLER_VARIANTS)
     def test_run_sampler_visits_the_plan(self, linear_schedule, adaptive8, variant):
         # The plan is the sampler's contract: a state at each mid the walk re-noises from, and one at each anchor.
         config = SamplerConfig(variant=variant, gamma=0.2)
         expected = [int(adaptive8.steps[0])]
-        for _, mid, t_to in step_plan(config, adaptive8):
+        for _, mid, t_to in step_plan(config, linear_schedule, adaptive8):
             expected += [mid, t_to] if mid != t_to else [t_to]
         model = MixtureModel(weights=[1.0], means=[[0.0]], variances=[1.0])
         out = run_sampler(config, linear_schedule, adaptive8, make_eps_model(model, linear_schedule),
                           np.random.default_rng(1).standard_normal((2, 1)))
         assert [t for t, _ in out.states] == expected
         if variant != "plain":
-            assert len(expected) > adaptive8.n  # the gamma variants re-noise somewhere on this schedule
+            assert len(expected) > adaptive8.steps.size  # the gamma variants re-noise somewhere on this schedule
 
 
 class TestConvergence:
@@ -737,6 +754,17 @@ class TestGuards:
                 SamplerConfig(variant="gamma_i"), linear_schedule, ts,
                 make_eps_model(tight_gaussian, linear_schedule), np.zeros((1, 1)),
             )
+
+    @pytest.mark.parametrize("curve", ["none", "foreign"])
+    def test_gamma_i_ignores_an_importance_flag_on_slot_zero(self, linear_schedule, tight_gaussian, curve):
+        # No transition targets slot 0, so a gamma_i run over it walks gamma's plan whatever curve is bound.
+        other = ImportanceCurve(values=np.linspace(0.0, 1.0, 1000),
+                                source_schedule_id=schedule_fingerprint(build_schedule("cosine", 1000)))
+        ts = TimestepSchedule(steps=[999, 500, 0], provenance=(IMPORTANCE, EQUIDISTANT, EQUIDISTANT),
+                              curve=other if curve == "foreign" else None)
+        out = run_sampler(SamplerConfig(variant="gamma_i"), linear_schedule, ts,
+                          make_eps_model(tight_gaussian, linear_schedule), np.zeros((1, 1)))
+        assert [t for t, _ in out.states] == [999, 400, 500, 0]
 
     @pytest.mark.parametrize("first", [1000, 4000])
     @pytest.mark.parametrize("variant", ["plain", "gamma", "gamma_i"])

@@ -91,12 +91,17 @@ class TestImportanceSelection:
 
 
 class TestAdaptive:
-    def test_threshold_one_degenerates_to_equidistant(self, linear_schedule, default_curve):
-        merged = adaptive_schedule(linear_schedule, default_curve, 12, theta=1.0)
-        uniform = equidistant_schedule(linear_schedule, 12)
+    @pytest.mark.parametrize("kind", ["linear", "scaled_linear", "cosine"])
+    @pytest.mark.parametrize("n", [2, 12, 999, 1000])  # up to T - 1 and T
+    def test_threshold_one_degenerates_to_equidistant(self, kind, n):
+        # The merge takes its equidistant slots from equidistant_schedule, so theta = 1 is that schedule exactly.
+        schedule = build_schedule(kind, 1000)
+        curve = compute_importance(schedule)
+        merged = adaptive_schedule(schedule, curve, n, theta=1.0)
+        uniform = equidistant_schedule(schedule, n)
         assert np.array_equal(merged.steps, uniform.steps)
-        assert merged.provenance == (EQUIDISTANT,) * 12
-        assert merged.curve is default_curve
+        assert merged.provenance == (EQUIDISTANT,) * n
+        assert merged.curve is curve
 
     def test_threshold_zero_selects_every_slot_by_importance(
         self, linear_schedule, default_curve
@@ -157,7 +162,7 @@ class TestAdaptive:
     )
     def test_merged_schedule_invariants(self, linear_schedule, default_curve, n, theta, data):
         merged = adaptive_schedule(linear_schedule, default_curve, n, theta=theta)
-        assert merged.n == n
+        assert merged.steps.size == n
         assert np.all(np.diff(merged.steps) < 0)
         assert 0 <= merged.steps[-1] and merged.steps[0] <= 999
         assert len(merged.provenance) == n
