@@ -34,7 +34,7 @@ class ImportanceCurve:
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size < 3:
             raise ValueError("importance values must be a 1-D array of length >= 3")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # written so that a NaN fails
             raise ValueError("importance values must lie in [0, 1]")
         if values.max() != 1.0:
             raise ValueError("importance values must attain a maximum of exactly 1")

@@ -54,19 +54,6 @@ class TimestepSchedule:
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
 
-def _interval_argmax(curve: ImportanceCurve, n: int) -> np.ndarray:
-    # Slot i draws from the (n - 1 - i)-th of n contiguous intervals over
-    # [0, T - 1], so slots keep the sampling order, high noise first. Argmax
-    # takes the lowest index on ties.
-    T = curve.values.size
-    edges = [(j * T) // n for j in range(n + 1)]
-    picks = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lo, hi = edges[n - 1 - i], edges[n - i]
-        picks[i] = lo + int(np.argmax(curve.values[lo:hi]))
-    return picks
-
-
 def equidistant_schedule(schedule: NoiseSchedule, n: int) -> TimestepSchedule:
     """``2 <= n <= T`` uniformly spaced real positions over ``[0, T - 1]``, highest first, rounded to nearest."""
     if not 2 <= n <= schedule.num_steps:
@@ -84,9 +71,8 @@ def adaptive_schedule(
     that candidate exceeds ``theta``, and the equidistant candidate otherwise.
     ``theta = 1`` therefore reproduces the equidistant schedule exactly, while
     ``theta = 0`` selects every slot by importance, since every importance is
-    positive: these are the two pure selections. Collisions after the merge
-    are resolved by decrementing the later (smaller) timestep, which preserves
-    the high-noise anchor.
+    positive: these are the two pure selections. A slot that lands on or above
+    its predecessor moves to one below it, which keeps the high-noise anchor.
 
     Args:
         schedule: the noise schedule the curve was computed from.
@@ -98,13 +84,18 @@ def adaptive_schedule(
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if curve.source_schedule_id != schedule_fingerprint(schedule):
         raise ValueError("importance curve was computed from a different schedule")
-    equidistant = equidistant_schedule(schedule, n).steps  # checks n
-    candidates = _interval_argmax(curve, n)
-    chosen = curve.values[candidates] > theta
-    steps = np.where(chosen, candidates, equidistant)
-    # Both candidates of slot i are >= n - 1 - i (n <= T), and so is each decrement: no step goes negative.
-    for i in range(1, n):
-        if steps[i] >= steps[i - 1]:
-            steps[i] = steps[i - 1] - 1
-    provenance = tuple(IMPORTANCE if c else EQUIDISTANT for c in chosen)
-    return TimestepSchedule(steps=steps, provenance=provenance, curve=curve)
+    T = schedule.num_steps
+    steps, provenance, prev = [], [], T
+    # Slot i draws its candidate from the (n - 1 - i)-th of n contiguous
+    # intervals over [0, T - 1], so slots keep the sampling order, high noise
+    # first; argmax takes the lowest index on ties. Both candidates of slot i
+    # are >= n - 1 - i (n <= T), and so is one below its predecessor, since that
+    # is >= n - i: no step goes negative. Slot 0's predecessor T is above every step.
+    for i, t in enumerate(equidistant_schedule(schedule, n).steps):  # checks n
+        lo = ((n - 1 - i) * T) // n
+        pick = lo + int(np.argmax(curve.values[lo:((n - i) * T) // n]))
+        chosen = curve.values[pick] > theta
+        prev = min(pick if chosen else t, prev - 1)
+        steps.append(prev)
+        provenance.append(IMPORTANCE if chosen else EQUIDISTANT)
+    return TimestepSchedule(steps=np.array(steps), provenance=tuple(provenance), curve=curve)

@@ -517,6 +517,38 @@ def test_any_compare_sweep_exits_zero_one_or_two(mapping, sweeps):
     run_config_file(["compare", *(arg for sweep in sweeps for arg in ("--sweep", sweep))], mapping)
 
 
+# Extreme but finite mixture files, as (mean, variance) per equally weighted
+# component: every number passes the file's checks, so whatever overflows or
+# underflows on the way is the run's to report. mixture_files draws none of them.
+EXTREME_MIXTURES = {
+    "far-means-1d": [([1e308], 1.0), ([-1e308], 1.0)],
+    "tiny-variances-2d": [([0.0, 1.0], 5e-324), ([1.0, -1.0], 1e-300)],
+    "far-mean-tiny-variance-3d": [([1e200, 0.0, -1.0], 1e-300)],
+    "mixed-3d": [([0.0, 1e200, -1e308], 5e-324), ([1.0, 0.0, 0.0], 1e308), ([0.0, -1e200, 1e200], 1e-300)],
+}
+GUIDANCE_FIELDS = {
+    "unguided": {},
+    "interpolate": {"cfg_mode": "interpolate", "condition": 0},
+    "negative-prompt": {"cfg_mode": "negative_prompt", "condition": 0},
+}
+
+
+@pytest.mark.parametrize("clip_method", CHOICES["clip_method"])
+@pytest.mark.parametrize("guidance", sorted(GUIDANCE_FIELDS))
+@pytest.mark.parametrize("mixture", sorted(EXTREME_MIXTURES))
+def test_an_extreme_finite_mixture_file_exits_zero_one_or_two(mixture, guidance, clip_method):
+    components = EXTREME_MIXTURES[mixture]
+    mapping = {
+        "batch": 4, "steps": 4, "clip_method": clip_method, "quantile_ceiling": 3.0, **GUIDANCE_FIELDS[guidance],
+        "mixture": {"components": [
+            {"weight": 1.0 / len(components), "mean": mean, "variance": variance} for mean, variance in components
+        ]},
+    }
+    code, out = run_config_file(["sample"], mapping)
+    if code == 0:
+        json.loads(out, parse_constant=reject_constant)
+
+
 @pytest.mark.parametrize("argv", [["sample"], ["schedule"], ["compare", "--sweep", "theta=0,1"]],
                          ids=["sample", "schedule", "compare"])
 def test_non_utf8_config_file_exits_one(argv, tmp_path, capsys):

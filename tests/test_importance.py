@@ -79,7 +79,9 @@ def test_rejects_short_schedules():
     ([[1.0, 0.5, 0.2]], "length >= 3"),
     ([1.0, 0.5, -0.1], r"lie in \[0, 1\]"),
     ([0.9, 0.5, 0.2], "maximum of exactly 1"),
-], ids=["short", "two-dimensional", "negative", "peak-below-one"])
+    ([np.nan, 1.0, 0.5], r"lie in \[0, 1\]"),
+    ([1.0, np.nan, 0.5], r"lie in \[0, 1\]"),
+], ids=["short", "two-dimensional", "negative", "peak-below-one", "nan", "nan-after-the-peak"])
 def test_curve_constructor_rejects_bad_values(values, message):
     with pytest.raises(ValueError, match=message):
         ImportanceCurve(values=values, source_schedule_id="0" * 16)

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fewstep.importance import ImportanceCurve, compute_importance, schedule_fingerprint
@@ -30,6 +30,31 @@ def reference_argmax(curve, n):
         block = curve.values[(j * T) // n:((j + 1) * T) // n]
         picks.append((j * T) // n + int(np.flatnonzero(block == block.max())[0]))
     return picks
+
+
+def reference_adaptive(curve, n, theta):
+    # Independent merge: a slot takes its interval's first argmax when that
+    # exceeds theta and its equidistant step otherwise, then steps down one at
+    # a time until it lies below its predecessor.
+    steps, provenance = [], []
+    for pick, t in zip(reference_argmax(curve, n), reference_equidistant(curve.values.size, n)):
+        chosen = curve.values[pick] > theta
+        t = pick if chosen else t
+        while steps and t >= steps[-1]:
+            t -= 1
+        steps.append(t)
+        provenance.append(IMPORTANCE if chosen else EQUIDISTANT)
+    return steps, tuple(provenance)
+
+
+@st.composite
+def merge_cases(draw):
+    """A linear schedule of T in [3, 64] with an arbitrary curve (an exact 1.0, and ties) and n in [2, T]."""
+    T = draw(st.integers(min_value=3, max_value=64))
+    level = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+    values = draw(st.lists(level, min_size=T, max_size=T))
+    values[draw(st.integers(0, T - 1))] = 1.0
+    return "linear", T, values, draw(st.integers(min_value=2, max_value=T))
 
 
 def curve_for(schedule, values):
@@ -175,6 +200,22 @@ class TestAdaptive:
         merged = adaptive_schedule(schedule, curve_for(schedule, values), n, theta=theta)
         assert np.all(np.diff(merged.steps) < 0) and merged.steps[0] <= T - 1
         assert np.all(merged.steps >= n - 1 - np.arange(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=merge_cases(), theta=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 0.7, 1.0])))
+    # The built-in curves at T = 1000; values=None takes the schedule's own curve.
+    @example(case=("linear", 1000, None, 8), theta=0.7)
+    @example(case=("scaled_linear", 1000, None, 12), theta=0.3)
+    @example(case=("cosine", 1000, None, 4), theta=0.7)
+    def test_matches_an_independent_merge(self, case, theta):
+        kind, T, values, n = case
+        schedule = build_schedule(kind, T)
+        curve = compute_importance(schedule) if values is None else curve_for(schedule, values)
+        merged = adaptive_schedule(schedule, curve, n, theta=theta)
+        steps, provenance = reference_adaptive(curve, n, theta)
+        assert merged.steps.tolist() == steps
+        assert merged.provenance == provenance
+        assert merged.curve is curve
 
 
 class TestValidation:

@@ -4,9 +4,10 @@ Both cover the report JSON (minus ``wall_time``), the first
 ``TRAJECTORY_CHAIN_LIMIT`` chains of every visited state (the ones
 ``run_experiment`` keeps), and every chain of the final state, of each
 ``sweep-512`` and ``bulk-65536`` benchmark config at seeds 0 and 1, and the
-stdout of six fixed ``schedule`` and ``compare`` calls; one
-crosses two ``--sweep`` flags, one runs both exposure clip orders, and the last
-runs two clips at both clip timings. Every benchmark mixture has at most two
+stdout of seven fixed ``schedule`` and ``compare`` calls; one ``compare``
+call crosses two ``--sweep`` flags, one runs both exposure clip orders, one
+runs two clips at both clip timings, and the last, a ``schedule`` call, moves
+an adaptive slot that lands on its predecessor. Every benchmark mixture has at most two
 dimensions, where any order of a row mean's products rounds alike, so the runs
 also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
 under guidance, with each of the three clips, at the same two seeds. Two runs
@@ -101,6 +102,9 @@ ARGVS = (
     ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
      "--negative-condition", "1", "--batch", "64", "--variant", "gamma_i",
      "--sweep", "clip_method=tanh-balance,quantile", "--sweep", "clip_timing=every-step,final-only"],
+    # Last, so the compare calls keep their indices, which name their recorded numbers.
+    # Adaptive slot 3 falls back to its equidistant step 6, lands on slot 2 and moves to 5.
+    ["schedule", "--num-train-steps", "10", "--steps", "9", "--theta", "0.7"],
 )
 SAMPLE_ARGVS = {
     "sample none condition": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--condition", "2", "--batch", "64"],
