@@ -55,10 +55,10 @@ class TimestepSchedule:
 
 
 def equidistant_schedule(schedule: NoiseSchedule, n: int) -> TimestepSchedule:
-    """``2 <= n <= T`` uniformly spaced real positions over ``[0, T - 1]``, highest first, rounded to nearest."""
+    """``2 <= n <= T`` steps, highest first: slot ``i`` rounds ``(T - 1)(n - 1 - i) / (n - 1)``, ties to even."""
     if not 2 <= n <= schedule.num_steps:
         raise ValueError(f"step count {n} outside [2, {schedule.num_steps}]")
-    steps = np.rint(np.linspace(schedule.num_steps - 1, 0, n)).astype(np.int64)
+    steps = np.rint((schedule.num_steps - 1) * np.arange(n - 1, -1, -1) / (n - 1)).astype(np.int64)
     return TimestepSchedule(steps=steps, provenance=(EQUIDISTANT,) * n)
 
 

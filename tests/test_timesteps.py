@@ -83,6 +83,17 @@ class TestEquidistant:
         ts = equidistant_schedule(linear_schedule, n)
         assert ts.steps.tolist() == reference_equidistant(1000, n)
 
+    @pytest.mark.parametrize("T", range(3, 65))
+    def test_matches_reference_spacing_at_every_count(self, T):
+        schedule = build_schedule("linear", T)
+        assert {n: equidistant_schedule(schedule, n).steps.tolist() for n in range(2, T + 1)} == {
+            n: reference_equidistant(T, n) for n in range(2, T + 1)
+        }
+
+    def test_exact_half_goes_to_the_even_step(self, linear_schedule):
+        # Slot 25 of 31 sits at exactly 999 * 5 / 30 = 166.5, a half that float error in the position moves to 167.
+        assert equidistant_schedule(linear_schedule, 31).steps[25] == 166
+
     def test_rejects_out_of_range_counts(self, linear_schedule):
         with pytest.raises(ValueError, match="step count"):
             equidistant_schedule(linear_schedule, 1)
@@ -207,6 +218,8 @@ class TestAdaptive:
     @example(case=("linear", 1000, None, 8), theta=0.7)
     @example(case=("scaled_linear", 1000, None, 12), theta=0.3)
     @example(case=("cosine", 1000, None, 4), theta=0.7)
+    # Slot 15 sits at exactly 31 * 15 / 30 = 15.5, a half that float error in the position moves to 15.
+    @example(case=("linear", 32, [1.0] + [0.0] * 31, 31), theta=0.0)
     def test_matches_an_independent_merge(self, case, theta):
         kind, T, values, n = case
         schedule = build_schedule(kind, T)

@@ -3,19 +3,23 @@
 Both cover the report JSON (minus ``wall_time``), the first
 ``TRAJECTORY_CHAIN_LIMIT`` chains of every visited state (the ones
 ``run_experiment`` keeps), and every chain of the final state, of each
-``sweep-512`` and ``bulk-65536`` benchmark config at seeds 0 and 1, and the
-stdout of seven fixed ``schedule`` and ``compare`` calls; one ``compare``
-call crosses two ``--sweep`` flags, one runs both exposure clip orders, one
-runs two clips at both clip timings, and the last, a ``schedule`` call, moves
-an adaptive slot that lands on its predecessor. Every benchmark mixture has at most two
-dimensions, where any order of a row mean's products rounds alike, so the runs
-also cover ``family-8d``: the 8-dimensional mixture in ``tools/family-8d.json``
-under guidance, with each of the three clips, at the same two seeds. Two runs
-per seed are wider than one sampler row block, on paths that ``bulk-65536``
-does not take: unguided ``grid-2d`` at batch 20,000, and ``family-8d`` guided
-against its full mixture at batch 5,000.
-The reports of three ``sample`` calls on ``skewed-2d`` follow, set-ups that no
-other call runs: a condition without guidance, ``negative_prompt`` without
+``sweep-512`` and ``bulk-65536`` benchmark config at seeds 0 and 1. Every
+benchmark mixture has at most two dimensions, where any order of a row mean's
+products rounds alike, so the runs also cover ``family-8d``: the 8-dimensional
+mixture in ``tools/family-8d.json`` under guidance, with each of the three
+clips, at the same two seeds. Two runs per seed are wider than one sampler row
+block, on paths that ``bulk-65536`` does not take: unguided ``grid-2d`` at
+batch 20,000, and ``family-8d`` guided against its full mixture at batch 5,000.
+The named fixed CLI calls of ``CALLS`` follow, in table order: a ``sample``
+call's report is hashed, and any other call's stdout. Each call is named by a
+short phrase for what it covers, and a ``compare`` call records each row's
+numbers as ``<call name> <label>``, so a call may sit anywhere in the table:
+inserting one adds its own numbers and renames none. Of the seven ``schedule``
+and ``compare`` calls, one ``compare`` call crosses two ``--sweep`` flags, one
+runs both exposure clip orders, one runs two clips at both clip timings, and
+one ``schedule`` call moves an adaptive slot that lands on its predecessor.
+Three ``sample`` calls on ``skewed-2d`` run set-ups that no other call runs: a
+condition without guidance, ``negative_prompt`` without
 ``--negative-condition``, which guides against the full mixture, and the
 quantile clip at d = 2 under a ceiling of 2.5, where every threshold lies
 between 1 and the ceiling, so the per-row quantile moves the numbers. At the
@@ -88,25 +92,24 @@ def multi_block(seed: int) -> list:
     ]
 
 
-ARGVS = (
-    ["schedule", "--steps", "8", "--theta", "0.7"],
-    ["schedule", "--schedule-kind", "cosine", "--num-train-steps", "200", "--steps", "12", "--theta", "0.3"],
-    ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
-     "--negative-condition", "1", "--batch", "64", "--sweep", "theta=0,0.7,1"],
-    ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
-     "--negative-condition", "1", "--batch", "64", "--sweep", "clip_method=none,tanh-balance,quantile",
-     "--sweep", "theta=1,0.7"],
-    ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
-     "--negative-condition", "1", "--batch", "64", "--clip-shift", "0.5",
-     "--sweep", "clip_method=tanh-balance,balance-tanh"],
-    ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt", "--condition", "0",
-     "--negative-condition", "1", "--batch", "64", "--variant", "gamma_i",
-     "--sweep", "clip_method=tanh-balance,quantile", "--sweep", "clip_timing=every-step,final-only"],
-    # Last, so the compare calls keep their indices, which name their recorded numbers.
+CALLS = {
+    "schedule linear": ["schedule", "--steps", "8", "--theta", "0.7"],
+    "schedule cosine": ["schedule", "--schedule-kind", "cosine", "--num-train-steps", "200", "--steps", "12",
+                        "--theta", "0.3"],
+    "compare theta": ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt",
+                      "--condition", "0", "--negative-condition", "1", "--batch", "64", "--sweep", "theta=0,0.7,1"],
+    "compare clip by theta": ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt",
+                              "--condition", "0", "--negative-condition", "1", "--batch", "64",
+                              "--sweep", "clip_method=none,tanh-balance,quantile", "--sweep", "theta=1,0.7"],
+    "compare clip orders": ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt",
+                            "--condition", "0", "--negative-condition", "1", "--batch", "64", "--clip-shift", "0.5",
+                            "--sweep", "clip_method=tanh-balance,balance-tanh"],
+    "compare clip timings": ["compare", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode", "negative_prompt",
+                             "--condition", "0", "--negative-condition", "1", "--batch", "64", "--variant", "gamma_i",
+                             "--sweep", "clip_method=tanh-balance,quantile",
+                             "--sweep", "clip_timing=every-step,final-only"],
     # Adaptive slot 3 falls back to its equidistant step 6, lands on slot 2 and moves to 5.
-    ["schedule", "--num-train-steps", "10", "--steps", "9", "--theta", "0.7"],
-)
-SAMPLE_ARGVS = {
+    "schedule collision": ["schedule", "--num-train-steps", "10", "--steps", "9", "--theta", "0.7"],
     "sample none condition": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--condition", "2", "--batch", "64"],
     "sample negative_prompt mixture": ["sample", "--steps", "4", "--mixture", "skewed-2d", "--cfg-mode",
                                        "negative_prompt", "--condition", "0", "--batch", "64"],
@@ -164,10 +167,12 @@ for name, configs in (("sweep-512", WORKLOADS["sweep-512"]), ("bulk-65536", WORK
             for t, state in trajectory.states:
                 update(str(t).encode() + state[:TRAJECTORY_CHAIN_LIMIT].tobytes())
             update(b"-1" + trajectory.final.tobytes())
-for index, argv in enumerate(ARGVS):
-    update(run_cli(f"ARGVS[{index}]", argv).encode())
-for call, argv in SAMPLE_ARGVS.items():
-    update_report(call, run_cli(call, argv))
+for call, argv in CALLS.items():
+    out = run_cli(call, argv)
+    if argv[0] == "sample":
+        update_report(call, out)
+    else:
+        update(out.encode())
 with tempfile.TemporaryDirectory() as tmp:
     report_file, trajectory_file, table_dir = (Path(tmp) / name for name in ("report.json", "trajectory.csv", "tables"))
     run_cli("sample", ["sample", "--schedule-kind", "scaled_linear", "--mixture", "skewed-2d", "--cfg-mode",
