@@ -5,8 +5,6 @@ included), 2 for numerical failures: a non-finite sampler state, metric or
 compounding diagnostic.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import errno
@@ -203,8 +201,10 @@ def _prepare(cfg: ExperimentConfig, model: MixtureModel) -> Callable[[float], tu
 
     The run takes its start time and does only the seed's work, so no check waits for a sampler.
     """
-    if cfg.batch * model.dim > _MAX_SIZE:  # the initial noise and the ground truth are (batch, dim)
-        raise ConfigError(f"batch {cfg.batch} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
+    # The initial noise and the ground truth are (batch, dim); at dim >= 2 sliced W1 projects onto (directions, dim).
+    for name, size in (("batch", cfg.batch), ("directions", cfg.directions if model.dim >= 2 else 0)):
+        if size * model.dim > _MAX_SIZE:
+            raise ConfigError(f"{name} {size} times the mixture dimension {model.dim} exceeds {_MAX_SIZE} values")
     for label, flag in ((cfg.condition, "--condition"), (cfg.negative_condition, "--negative-condition")):
         if label is not None and not 0 <= label < model.num_components:
             raise ConfigError(f"{flag} {label} out of range for a {model.num_components}-component mixture")

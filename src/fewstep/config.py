@@ -9,8 +9,6 @@ its allowed values in ``CHOICES``). The CLI builds its flags from ``FIELDS``,
 and every value, from a flag, a file or a caller, is checked against it.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from dataclasses import dataclass
@@ -35,8 +33,8 @@ CHOICES = {
 
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
-# Cap on batch, directions and num_train_steps. A run near it needs terabytes; under it, NumPy refuses an array
-# too large to allocate with a MemoryError, which the CLI reports, not with a ValueError on the shape.
+# Cap on batch, directions and num_train_steps, and (in the CLI) on batch and directions times the mixture dimension.
+# A run near it needs terabytes; under it NumPy refuses too large an array with a MemoryError, which the CLI reports.
 _MAX_SIZE = 2**40
 
 

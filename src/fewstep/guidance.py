@@ -1,7 +1,5 @@
 """Classifier-free guidance combinations of conditional and unconditional predictions."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 

@@ -5,8 +5,6 @@ importance of step ``t`` is the inverse magnitude of the discrete log-SNR
 gradient, normalized by the largest inverse over the whole trajectory.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

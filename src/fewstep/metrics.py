@@ -3,8 +3,6 @@
 Sliced W1 works in cache-sized blocks of directions and never holds all ``directions x batch`` projections.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import asdict, dataclass
 

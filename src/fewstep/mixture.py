@@ -18,8 +18,6 @@ prediction and log-density do not depend on its batch: NumPy sums a one-row
 batch's ``einsum``s in another order, so a lone row goes in as the first of two.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator

@@ -5,8 +5,6 @@ clean-state estimate. Each row is one chain, so every mean and quantile is
 taken per row.
 """
 
-from __future__ import annotations
-
 from typing import Callable, Optional
 
 import numpy as np

@@ -10,8 +10,6 @@ noise schedule, and :func:`run_sampler` walks that plan alone. The final
 transition lands on the data axis without re-noising: a clean-state estimate.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -208,7 +206,7 @@ def run_sampler(
     plan = step_plan(config, schedule, timesteps)
 
     step_clip = config.clip if config.clip_timing == "every-step" else None
-    rng = stream(config.rng_seed, STREAM_RENOISE)
+    rng = stream(config.rng_seed, STREAM_RENOISE) if any(mid != t_to for _, mid, t_to in plan) else None
     batch, dim = x.shape
     rows = max(1, _BLOCK_VALUES // dim)  # per contiguous row block, at least one; a batch that fits is one block
     blocks = [slice(a, a + rows) for a in range(0, batch, rows)]

@@ -1,7 +1,5 @@
 """Discrete variance-preserving noise schedules and their alpha-bar derived quantities."""
 
-from __future__ import annotations
-
 import math
 import operator
 from dataclasses import dataclass, field

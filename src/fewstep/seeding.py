@@ -5,8 +5,6 @@ keyed by a purpose constant, so adding draws in one place never perturbs
 another. Batched chains share one vectorized stream with rows as chains.
 """
 
-from __future__ import annotations
-
 import operator
 
 import numpy as np

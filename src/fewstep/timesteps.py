@@ -1,7 +1,5 @@
 """Inference timestep selection: equidistant, and an adaptive merge of importance argmax and equidistant slots."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -604,6 +604,24 @@ def test_batch_times_dimension_beyond_the_size_cap_exits_one(dim, tmp_path, caps
     )
 
 
+def test_directions_times_dimension_beyond_the_size_cap_exits_one_before_sampling(monkeypatch, capsys):
+    # Sliced W1 projects the samples onto a (directions, dim) matrix. Left to NumPy, that allocation fails only
+    # after the sampler has run.
+    calls = []
+    monkeypatch.setattr(fewstep.cli, "run_sampler", lambda *args, **kwargs: calls.append(args))
+    code, out = run_cli("sample", "--directions", str(2**40), "--mixture", "grid-2d", "--batch", "1", "--steps", "2")
+    assert (code, out, calls) == (1, "", [])
+    assert capsys.readouterr().err == (
+        f"error: directions {2**40} times the mixture dimension 2 exceeds {2**40} values\n"
+    )
+
+
+def test_a_1d_mixture_takes_any_directions(capsys):
+    # The exact 1-D W1 scores a 1-D mixture, so it takes no projections and the directions product is not capped.
+    code, _ = run_cli("sample", "--directions", str(2**40), "--mixture", "bimodal-1d", "--batch", "1", "--steps", "2")
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
 def test_state_too_large_to_allocate_exits_one(monkeypatch, capsys):
     # The size caps leave runs that still outgrow memory. 2**40 * 1,000 values (8 PiB) is more than any
     # allocator grants, so NumPy raises its MemoryError without allocating.
@@ -927,7 +945,8 @@ class TestCompareCommand:
         ("condition=0,1,5", "--condition 5 out of range for a 3-component mixture"),
         ("negative_condition=1,2,7", "--negative-condition 7 out of range for a 3-component mixture"),
         (f"batch=8,{2**40}", f"batch {2**40} times the mixture dimension 2 exceeds {2**40} values"),
-    ], ids=["condition", "negative-condition", "batch-times-dimension"])
+        (f"directions=8,{2**40}", f"directions {2**40} times the mixture dimension 2 exceeds {2**40} values"),
+    ], ids=["condition", "negative-condition", "batch-times-dimension", "directions-times-dimension"])
     def test_a_row_that_does_not_fit_the_mixture_fails_before_any_run(self, sweep, message, monkeypatch, capsys):
         # Only the mixture shows these rows to be invalid; the rows before them are valid.
         calls = []

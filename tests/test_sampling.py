@@ -491,6 +491,21 @@ class TestVariantDegeneration:
         )
         assert not np.array_equal(plain.final, gamma.final)
 
+    @pytest.mark.parametrize("variant, gamma, builds", [("plain", 0.2, 0), ("gamma", 0.0, 0), ("gamma", 0.2, 1)])
+    def test_only_a_walk_that_re_noises_builds_the_re_noise_stream(self, linear_schedule, tight_gaussian, monkeypatch,
+                                                                   variant, gamma, builds):
+        purposes = []
+
+        def spy(seed, purpose):
+            purposes.append(purpose)
+            return stream(seed, purpose)
+
+        monkeypatch.setattr(sampling, "stream", spy)
+        run_sampler(SamplerConfig(variant=variant, gamma=gamma), linear_schedule,
+                    equidistant_schedule(linear_schedule, 6), make_eps_model(tight_gaussian, linear_schedule),
+                    np.random.default_rng(10).standard_normal((4, 1)))
+        assert purposes.count(STREAM_RENOISE) == builds
+
 
 @pytest.mark.parametrize("make", [
     lambda: build_schedule(),
